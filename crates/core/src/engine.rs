@@ -499,6 +499,11 @@ struct Engine<'a, 'q, 'r> {
     rr_cursor: usize,
     steps_since_sweep: usize,
     labels: Vec<f64>,
+    /// Slots that may still carry label weight, in first-sighting order.
+    /// [`Engine::sweep_labels`] drops a slot for good once it is finalized
+    /// or its bound is `≤` the pruning threshold; see there for why a
+    /// dropped slot can never contribute again.
+    active: Vec<u32>,
     /// Set when the loop ended by exhaustion rather than by the bound test;
     /// triggers the unvisited sweep (disconnected networks, k > |P|).
     exhausted_end: bool,
@@ -593,6 +598,7 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
             rr_cursor: 0,
             steps_since_sweep: usize::MAX, // force a sweep on the first pick
             labels: vec![0.0; num_sources],
+            active: Vec::new(),
             exhausted_end: false,
             source_swept: vec![false; num_sources],
             text_rank,
@@ -867,6 +873,7 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
         let textual = self.textual_eval.eval(tid, self.db.store.get(tid));
         self.states.textual.push(textual);
         self.states.done.push(false);
+        self.active.push(slot as u32);
         slot
     }
 
@@ -1244,32 +1251,69 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
     }
 
     /// Recomputes the heuristic priority labels:
-    /// `label(s) = Σ over partly-scanned τ not scanned by s of ub(τ)`.
+    /// `label(s) = Σ over partly-scanned τ not scanned by s of ub(τ)`,
+    /// skipping every τ with `ub(τ) ≤ kth`.
+    ///
+    /// Only the slots in `active` are visited, and each sweep drops the
+    /// ones that are finalized or already prunable. Dropping is permanent
+    /// and exact: `ub_of` never rises (radii only grow, a scanned distance
+    /// is at least the radius it replaces, and IEEE addition, division by
+    /// a positive count and multiplication by a non-negative weight are
+    /// all monotone), while the pruning threshold never falls (the top-k's
+    /// k-th best only rises; a fixed θ stays put). A slot failing the
+    /// filter once fails it at every later sweep, the same invariant
+    /// [`Engine::terminated`] relies on when it pops prunable heap entries.
+    /// `retain` keeps first-sighting order, so each label accumulates the
+    /// same terms in the same order as a walk over every slot: the labels
+    /// are bit-identical to that walk, at `O(|live| · #sources)` per sweep.
+    /// Debug builds re-run the full walk and compare the bits.
     fn sweep_labels(&mut self) {
-        let n = self.num_sources();
-        let m = self.num_spatial();
         let kth = self.collector.pruning_threshold();
-        let mut labels = vec![0.0f64; n];
-        for slot in 0..self.states.len() {
-            if self.states.done[slot] {
-                continue;
+        let mut labels = std::mem::take(&mut self.labels);
+        let mut active = std::mem::take(&mut self.active);
+        labels.fill(0.0);
+        active.retain(|&slot| self.add_label_terms(&mut labels, slot as usize, kth));
+        self.labels = labels;
+        self.active = active;
+        #[cfg(debug_assertions)]
+        {
+            let mut full = vec![0.0f64; self.num_sources()];
+            for slot in 0..self.states.len() {
+                self.add_label_terms(&mut full, slot, kth);
             }
-            let ub = self.ub_of(slot);
-            if ub <= kth {
-                continue; // already prunable: converting it has no value
-            }
-            for (i, d) in self.states.sdists(slot).iter().enumerate() {
-                if d.is_nan() {
-                    labels[i] += ub;
-                }
-            }
-            for (j, d) in self.states.tdists(slot).iter().enumerate() {
-                if d.is_nan() {
-                    labels[m + j] += ub;
-                }
+            for (s, (got, want)) in self.labels.iter().zip(&full).enumerate() {
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "label of source {s}: compacted sweep {got} vs full sweep {want}"
+                );
             }
         }
-        self.labels = labels;
+    }
+
+    /// Adds slot `slot`'s bound to the label of every source that has not
+    /// scanned it, unless it is finalized or its bound is `≤ kth`. Returns
+    /// whether the slot carried weight.
+    fn add_label_terms(&self, labels: &mut [f64], slot: usize, kth: f64) -> bool {
+        if self.states.done[slot] {
+            return false;
+        }
+        let ub = self.ub_of(slot);
+        if ub <= kth {
+            return false; // already prunable: converting it has no value
+        }
+        let m = self.num_spatial();
+        for (i, d) in self.states.sdists(slot).iter().enumerate() {
+            if d.is_nan() {
+                labels[i] += ub;
+            }
+        }
+        for (j, d) in self.states.tdists(slot).iter().enumerate() {
+            if d.is_nan() {
+                labels[m + j] += ub;
+            }
+        }
+        true
     }
 
     /// Consumes the engine; `interrupt` is [`Engine::run`]'s return value.

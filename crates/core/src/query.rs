@@ -188,13 +188,10 @@ impl UotsQuery {
         if options.k == 0 {
             return Err(CoreError::BadParameter("k must be at least 1".into()));
         }
-        if options.decay_km <= 0.0
-            || options.decay_km.is_nan()
-            || options.decay_s <= 0.0
-            || options.decay_s.is_nan()
-        {
+        let valid_decay = |d: f64| d > 0.0 && d.is_finite();
+        if !valid_decay(options.decay_km) || !valid_decay(options.decay_s) {
             return Err(CoreError::BadParameter(
-                "decay scales must be positive".into(),
+                "decay scales must be positive and finite".into(),
             ));
         }
         if options.weights.uses_temporal() && times.is_empty() {
@@ -340,6 +337,13 @@ mod tests {
 
         let opts = QueryOptions {
             decay_km: 0.0,
+            ..Default::default()
+        };
+        assert!(UotsQuery::with_options(vec![NodeId(0)], kws(&[]), vec![], opts).is_err());
+
+        // an infinite scale makes e^(−∞/∞) a NaN similarity
+        let opts = QueryOptions {
+            decay_s: f64::INFINITY,
             ..Default::default()
         };
         assert!(UotsQuery::with_options(vec![NodeId(0)], kws(&[]), vec![], opts).is_err());

@@ -36,10 +36,11 @@ pub enum Scheduler {
     MinRadius,
     /// The paper's priority-label heuristic. Labels are recomputed every
     /// `recompute_every` expansion steps (a label sweep costs
-    /// `O(|partly scanned| · #sources)`, so it is amortized over a batch of
-    /// steps); between sweeps the current top source keeps running, which
-    /// matches the paper's "search the top-ranked query source until a new
-    /// query source takes its place".
+    /// `O(|live| · #sources)`, live being the partly-scanned trajectories
+    /// whose bound still exceeds the pruning threshold, so it is amortized
+    /// over a batch of steps); between sweeps the current top source keeps
+    /// running, which matches the paper's "search the top-ranked query
+    /// source until a new query source takes its place".
     Heuristic {
         /// Steps between label sweeps (≥ 1).
         recompute_every: usize,

@@ -44,6 +44,12 @@ impl Ord for WorstFirst {
     }
 }
 
+/// Largest heap capacity reserved up front. `k` comes from the client,
+/// so reserving `k + 1` slots would let a single request with a huge `k`
+/// abort the process on allocation failure; beyond this the heap grows
+/// with the matches actually retained.
+const PREALLOC_CAP: usize = 1024;
+
 /// A bounded collector of the `k` best matches.
 #[derive(Debug, Clone)]
 pub struct TopK {
@@ -61,7 +67,7 @@ impl TopK {
         assert!(k >= 1, "k must be at least 1");
         TopK {
             k,
-            heap: BinaryHeap::with_capacity(k + 1),
+            heap: BinaryHeap::with_capacity(k.min(PREALLOC_CAP) + 1),
         }
     }
 
@@ -178,6 +184,15 @@ mod tests {
         let out = t.into_sorted();
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].id, TrajectoryId(1));
+    }
+
+    #[test]
+    fn huge_k_reserves_only_what_it_holds() {
+        let mut t = TopK::new(usize::MAX);
+        assert!(t.heap.capacity() <= PREALLOC_CAP + 1);
+        t.offer(m(0, 0.2));
+        assert_eq!(t.threshold(), f64::NEG_INFINITY);
+        assert_eq!(t.into_sorted().len(), 1);
     }
 
     #[test]

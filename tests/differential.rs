@@ -65,10 +65,16 @@ fn fingerprint(r: &QueryResult) -> Vec<(TrajectoryId, u64, u64, u64, u64)> {
 }
 
 /// The four algorithms under differential test (the brute force is the
-/// oracle and additionally tested against itself cached-vs-uncached).
+/// oracle and additionally tested against itself cached-vs-uncached). The
+/// expansion also runs with a label sweep before every step, so the
+/// debug-build check of each sweep against a full walk fires throughout.
 fn lineup() -> Vec<(&'static str, Box<dyn Algorithm>)> {
     vec![
         ("expansion", Box::new(Expansion::default())),
+        (
+            "expansion-sweep-every-step",
+            Box::new(Expansion::new(Scheduler::Heuristic { recompute_every: 1 })),
+        ),
         (
             "expansion-rr",
             Box::new(Expansion::new(Scheduler::RoundRobin)),
@@ -271,7 +277,8 @@ fn random_store(rng: &mut StdRng, n: usize, trips: usize, dup: usize) -> Traject
 
 /// A random query over `n` nodes; `k` spans top-1 through top-5.
 fn random_query(rng: &mut StdRng, n: usize) -> UotsQuery {
-    let m = rng.gen_range(1..4);
+    // many-source draws exercise the heuristic scheduler's label sweeps
+    let m = [1, 2, 3, 6, 10][rng.gen_range(0..5usize)];
     let locations: Vec<NodeId> = (0..m).map(|_| NodeId(rng.gen_range(0..n) as u32)).collect();
     let kws: Vec<KeywordId> = (0..rng.gen_range(0..4))
         .map(|_| KeywordId(rng.gen_range(0..12)))

@@ -602,6 +602,38 @@ fn sharded_ingest_publishes_cut_visible_to_search_and_join() {
     assert!(body.get("epochs").is_some(), "join reports the cut");
 }
 
+/// `k` is client-chosen: a huge one must be answered with at most the live
+/// set, never sized into an allocation that aborts the process.
+#[test]
+fn huge_k_answers_with_at_most_the_live_set() {
+    for shards in [1, 2] {
+        let (service, ds) = if shards == 1 {
+            start_service(30, 23, ServiceConfig::default())
+        } else {
+            start_sharded_service(30, 23, shards, ServiceConfig::default())
+        };
+        let addr = service.local_addr();
+        let spec = workload::generate(&ds, &workload::WorkloadConfig::default())
+            .into_iter()
+            .next()
+            .unwrap();
+        let huge = query_json(&spec.locations, spec.keywords.ids(), 0.5, 1_000_000_000);
+        let (code, body) = post(addr, "/topk", &huge);
+        assert_eq!(code, 200, "{shards} shard(s): {body:?}");
+        let matches = body.get("result").unwrap().get("matches").unwrap();
+        let n = matches.as_seq().expect("matches list").len();
+        assert!(
+            n <= ds.store.len(),
+            "{n} matches from {} trips",
+            ds.store.len()
+        );
+        // the process survived: the next request still answers
+        let small = query_json(&spec.locations, spec.keywords.ids(), 0.5, 2);
+        let (code, body) = post(addr, "/topk", &small);
+        assert_eq!(code, 200, "{shards} shard(s) after huge k: {body:?}");
+    }
+}
+
 #[test]
 fn join_endpoint_answers_with_pairs_and_certificate() {
     let (service, _ds) = start_service(60, 17, ServiceConfig::default());
