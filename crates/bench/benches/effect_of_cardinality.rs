@@ -11,7 +11,7 @@ fn bench(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_millis(1500));
     for trips in [500usize, 1_000, 2_000] {
         let ds = Scale::Bench.build(trips);
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index)
+        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks)
             .with_keyword_index(&ds.keyword_index);
         let queries = make_queries(&ds, 3, 4, 3, 0.5, 1, 0xf3);
         for (name, algo) in algorithms(false) {

@@ -6,7 +6,7 @@ use uots_core::Database;
 
 fn bench(c: &mut Criterion) {
     let ds = Scale::Bench.build(1_500);
-    let db = Database::new(&ds.network, &ds.store, &ds.vertex_index)
+    let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks)
         .with_keyword_index(&ds.keyword_index);
     let mut group = c.benchmark_group("f4_k");
     group.sample_size(10);

@@ -16,7 +16,7 @@ fn bench(c: &mut Criterion) {
         cfg.trips.sample_stride = stride;
         let ds = Dataset::build(&cfg).expect("dataset builds");
         let avg_len = format!("{:.0}", ds.stats().avg_len);
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index)
+        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks)
             .with_keyword_index(&ds.keyword_index);
         let queries = make_queries(&ds, 3, 4, 3, 0.5, 1, 0xf6);
         for (name, algo) in algorithms(false) {

@@ -14,7 +14,7 @@ fn bench(c: &mut Criterion) {
         let mut cfg = Scale::Bench.config(1_000);
         cfg.tags.vocab_size = vocab;
         let ds = Dataset::build(&cfg).expect("dataset builds");
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index)
+        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks)
             .with_keyword_index(&ds.keyword_index);
         let queries = make_queries(&ds, 3, 4, 3, 0.5, 1, 0xf9);
         for (name, algo) in algorithms(false) {

@@ -8,7 +8,7 @@ use uots_core::Database;
 
 fn bench(c: &mut Criterion) {
     let ds = Scale::Bench.build(2_000);
-    let db = Database::new(&ds.network, &ds.store, &ds.vertex_index)
+    let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks)
         .with_keyword_index(&ds.keyword_index);
     let queries = make_queries(&ds, 4, 4, 3, 0.5, 1, 0x12);
     let mut group = c.benchmark_group("t2_pruning");

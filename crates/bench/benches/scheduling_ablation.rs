@@ -8,7 +8,7 @@ use uots_core::{Database, Scheduler};
 
 fn bench(c: &mut Criterion) {
     let ds = Scale::Bench.build(1_500);
-    let db = Database::new(&ds.network, &ds.store, &ds.vertex_index)
+    let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks)
         .with_keyword_index(&ds.keyword_index);
     let queries = make_queries(&ds, 4, 6, 3, 0.5, 1, 0xf8);
     let mut group = c.benchmark_group("f8_scheduling");

@@ -1,19 +1,22 @@
 //! Exhaustive evaluation: the correctness oracle.
 
+use crate::algorithms::location_trees::LocationTrees;
 use crate::algorithms::Algorithm;
 use crate::budget::{Completeness, Gate, RunControl};
-use crate::csr::MultiSourceExpansion;
-use crate::distcache::{CachedSource, SearchContext};
-use crate::keywords::TextualEval;
+use crate::distcache::SearchContext;
 use crate::similarity;
 use crate::topk::TopK;
 use crate::{CoreError, Database, QueryResult, SearchMetrics, UotsQuery};
-use uots_network::dijkstra::shortest_path_tree;
 use uots_obs::{Phase, Recorder};
 
 /// Computes one full shortest-path tree per query location, then evaluates
 /// the exact similarity of *every* trajectory. `O(m · |V| log |V| + m · Σ|τ|)`
 /// with zero pruning — the reference answer and the unoptimized baseline.
+///
+/// The oracle is plain: text is scored with
+/// [`TextSimilarity::similarity`](uots_text::TextSimilarity::similarity)
+/// on the trajectories' own keyword sets, never on the dense keyword table
+/// the engines it judges use.
 ///
 /// With a [`SearchContext`] cache, the per-location trees are acquired by
 /// draining a [`CachedSource`] to exhaustion instead — cached prefixes are
@@ -40,67 +43,9 @@ impl Algorithm for BruteForce {
         let start = std::time::Instant::now();
         let mut gate = Gate::new(&query.options().budget, ctl);
         let mut metrics = SearchMetrics::for_one_query();
-        let cached = ctx.cache().is_some();
 
-        let textual = TextualEval::new(
-            query.options().text_measure,
-            query.keywords(),
-            db.layout.map(|l| &l.keywords),
-        );
-
-        rec.enter(Phase::NetworkExpansion);
-        let mut trees = Vec::new();
-        let mut sources: Vec<CachedSource<'_>> = Vec::new();
-        let mut multi: Option<MultiSourceExpansion<'_>> = None;
-        let mut interrupted = false;
-        if let Some(layout) = db.layout.filter(|_| !cached) {
-            // CSR layout: one multi-source drain over a shared frontier.
-            // The gate is consulted per settle instead of per source; any
-            // settle budget below the full drain interrupts either way
-            // with the identical (empty, gap-1) best-effort result, and a
-            // completed drain leaves the same total settle count the
-            // per-tree path accumulates.
-            let srcs: Vec<u32> = query.locations().iter().map(|v| v.0).collect();
-            let mut ms = MultiSourceExpansion::new(&layout.csr, &srcs);
-            if gate.should_stop(metrics.visited_trajectories, metrics.settled_vertices) {
-                interrupted = true;
-            } else {
-                while ms.next_settled().is_some() {
-                    metrics.settled_vertices += 1;
-                    if gate.should_stop(metrics.visited_trajectories, metrics.settled_vertices) {
-                        interrupted = true;
-                        break;
-                    }
-                }
-            }
-            multi = Some(ms);
-        } else {
-            for &v in query.locations() {
-                // a tree settles its whole component at once, so count it
-                // against the budget before paying for the next one
-                if gate.should_stop(metrics.visited_trajectories, metrics.settled_vertices) {
-                    interrupted = true;
-                    break;
-                }
-                if cached {
-                    let mut src = CachedSource::start(db.network, v, ctx.cache());
-                    rec.enter(Phase::CacheReplay);
-                    while src.in_replay() {
-                        src.next_settled();
-                        metrics.settled_vertices += 1;
-                    }
-                    rec.enter(Phase::NetworkExpansion);
-                    while src.next_settled().is_some() {
-                        metrics.settled_vertices += 1;
-                    }
-                    sources.push(src);
-                } else {
-                    let t = shortest_path_tree(db.network, v);
-                    metrics.settled_vertices += t.reached_count();
-                    trees.push(t);
-                }
-            }
-        }
+        let (mut trees, mut interrupted) =
+            LocationTrees::settle(db, query, ctx, &mut gate, &mut metrics, rec);
 
         rec.enter(Phase::CandidateRefine);
         let mut topk = TopK::new(query.options().k);
@@ -113,26 +58,12 @@ impl Algorithm for BruteForce {
                 metrics.visited_trajectories += 1;
                 metrics.candidates += 1;
                 metrics.heap_pushes += 1;
-                let tx = textual.eval(id, traj);
-                topk.offer(if cached {
-                    similarity::evaluate_with_sources_textual(&sources, query, id, traj, tx)
-                } else if let Some(ms) = &multi {
-                    similarity::evaluate_with_multi(ms, query, id, traj, tx)
-                } else {
-                    similarity::evaluate_with_trees_textual(&trees, query, id, traj, tx)
-                });
+                let tx = similarity::textual_component(query, traj);
+                topk.offer(trees.evaluate(query, id, traj, tx));
             }
         }
         rec.leave();
-        // fully drained prefixes are ideal cache content, but an
-        // interrupted run publishes nothing (poison-on-cancel)
-        for src in &mut sources {
-            if interrupted {
-                src.poison();
-            } else {
-                src.publish();
-            }
-        }
+        trees.release(interrupted);
         // conservative certificate: with no per-trajectory bounds, an
         // unevaluated trajectory could score up to 1 (gap 1.0 when nothing
         // was evaluated, 1 − kth-best once the top-k filled)
@@ -197,7 +128,8 @@ mod tests {
         let net = grid_city(&GridCityConfig::tiny(5)).unwrap();
         let s = store();
         let vidx = s.build_vertex_index(net.num_nodes());
-        let db = Database::new(&net, &s, &vidx);
+        let kw = s.build_keyword_blocks(0);
+        let db = Database::new(&net, &s, &vidx, &kw);
         let q = UotsQuery::new(vec![NodeId(0)], KeywordSet::empty()).unwrap();
         let r = BruteForce.run(&db, &q).unwrap();
         assert_eq!(r.metrics.visited_trajectories, 3);
@@ -213,7 +145,8 @@ mod tests {
         let net = grid_city(&GridCityConfig::tiny(5)).unwrap();
         let s = store();
         let vidx = s.build_vertex_index(net.num_nodes());
-        let db = Database::new(&net, &s, &vidx);
+        let kw = s.build_keyword_blocks(0);
+        let db = Database::new(&net, &s, &vidx, &kw);
         let q = UotsQuery::new(vec![NodeId(12)], KeywordSet::empty())
             .unwrap()
             .reoptioned(QueryOptions {
@@ -232,7 +165,8 @@ mod tests {
         let net = grid_city(&GridCityConfig::tiny(5)).unwrap();
         let s = store();
         let vidx = s.build_vertex_index(net.num_nodes());
-        let db = Database::new(&net, &s, &vidx);
+        let kw = s.build_keyword_blocks(0);
+        let db = Database::new(&net, &s, &vidx, &kw);
         let q = UotsQuery::new(vec![NodeId(1000)], KeywordSet::empty()).unwrap();
         assert!(BruteForce.run(&db, &q).is_err());
     }

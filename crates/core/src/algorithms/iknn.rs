@@ -149,11 +149,7 @@ impl Algorithm for IknnBaseline {
         let mut topk = TopK::new(opts.k);
         let per_round = self.settles_per_round.max(1);
 
-        let textual_eval = TextualEval::new(
-            opts.text_measure,
-            query.keywords(),
-            db.layout.map(|l| &l.keywords),
-        );
+        let textual_eval = TextualEval::new(opts.text_measure, query.keywords(), db.keyword_blocks);
 
         // finalize helper as a closure would fight the borrow checker;
         // structured as an inner function instead
@@ -434,7 +430,8 @@ mod tests {
     fn agrees_with_brute_force() {
         let (net, s) = fixture();
         let vidx = s.build_vertex_index(net.num_nodes());
-        let db = Database::new(&net, &s, &vidx);
+        let kw = s.build_keyword_blocks(0);
+        let db = Database::new(&net, &s, &vidx, &kw);
         for round in [1usize, 8, 256] {
             let algo = IknnBaseline {
                 settles_per_round: round,
@@ -463,7 +460,8 @@ mod tests {
         let (net, s) = fixture();
         let vidx = s.build_vertex_index(net.num_nodes());
         let tidx = s.build_timestamp_index();
-        let db = Database::new(&net, &s, &vidx).with_timestamp_index(&tidx);
+        let kw = s.build_keyword_blocks(0);
+        let db = Database::new(&net, &s, &vidx, &kw).with_timestamp_index(&tidx);
         let q = UotsQuery::with_options(
             vec![NodeId(0)],
             kws(&[]),
@@ -485,7 +483,8 @@ mod tests {
         use crate::algorithms::Expansion;
         let (net, s) = fixture();
         let vidx = s.build_vertex_index(net.num_nodes());
-        let db = Database::new(&net, &s, &vidx);
+        let kw = s.build_keyword_blocks(0);
+        let db = Database::new(&net, &s, &vidx, &kw);
         let q = UotsQuery::new(vec![NodeId(0), NodeId(1)], kws(&[1, 2])).unwrap();
         let iknn = IknnBaseline::default().run(&db, &q).unwrap();
         let exp = Expansion::default().run(&db, &q).unwrap();

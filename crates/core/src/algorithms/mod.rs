@@ -14,6 +14,7 @@
 mod brute_force;
 mod expansion;
 mod iknn;
+mod location_trees;
 mod text_first;
 
 pub use brute_force::BruteForce;
@@ -167,7 +168,7 @@ mod tests {
         for seed in 0..3u64 {
             let ds = Dataset::build(&DatasetConfig::small(60, seed)).unwrap();
             let tidx: TimestampIndex<TrajectoryId> = ds.store.build_timestamp_index();
-            let db = Database::new(&ds.network, &ds.store, &ds.vertex_index)
+            let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks)
                 .with_keyword_index(&ds.keyword_index)
                 .with_timestamp_index(&tidx);
             let mut rng = StdRng::seed_from_u64(seed ^ 0xfeed);
@@ -224,7 +225,7 @@ mod tests {
     #[test]
     fn expansion_prunes_relative_to_brute_force() {
         let ds = Dataset::build(&DatasetConfig::small(150, 11)).unwrap();
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index)
+        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks)
             .with_keyword_index(&ds.keyword_index);
         let specs = workload::generate(
             &ds,
@@ -260,7 +261,7 @@ mod tests {
     fn temporal_queries_agree_with_oracle() {
         let ds = Dataset::build(&DatasetConfig::small(50, 21)).unwrap();
         let tidx = ds.store.build_timestamp_index();
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index)
+        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks)
             .with_keyword_index(&ds.keyword_index)
             .with_timestamp_index(&tidx);
         let spec = &workload::generate(&ds, &workload::WorkloadConfig::default())[0];

@@ -17,15 +17,13 @@
 //! the "costly to acquire network distances" weakness the paper attributes
 //! to baselines that are not driven by the spatial domain.
 
+use crate::algorithms::location_trees::LocationTrees;
 use crate::algorithms::Algorithm;
 use crate::budget::{Completeness, Gate, RunControl};
-use crate::csr::MultiSourceExpansion;
-use crate::distcache::{CachedSource, SearchContext};
+use crate::distcache::SearchContext;
 use crate::keywords::TextualEval;
-use crate::similarity;
 use crate::topk::TopK;
 use crate::{CoreError, Database, QueryResult, SearchMetrics, UotsQuery};
-use uots_network::dijkstra::shortest_path_tree;
 use uots_obs::{Phase, Recorder};
 use uots_trajectory::TrajectoryId;
 
@@ -65,11 +63,7 @@ impl Algorithm for TextFirst {
         // untagged — the index can't enumerate those, so fall back to a full
         // textual pass in that edge case).
         rec.enter(Phase::TextFilter);
-        let textual = TextualEval::new(
-            opts.text_measure,
-            query.keywords(),
-            db.layout.map(|l| &l.keywords),
-        );
+        let textual = TextualEval::new(opts.text_measure, query.keywords(), db.keyword_blocks);
         let mut scored: Vec<(f64, TrajectoryId)> = if query.keywords().is_empty() {
             db.store
                 .iter()
@@ -108,54 +102,8 @@ impl Algorithm for TextFirst {
         scored.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
 
         // ---- refine: exact evaluation in bound order ----
-        rec.enter(Phase::NetworkExpansion);
-        let cached = ctx.cache().is_some();
-        let mut trees = Vec::new();
-        let mut sources: Vec<CachedSource<'_>> = Vec::new();
-        let mut multi: Option<MultiSourceExpansion<'_>> = None;
-        let mut interrupted = false;
-        if let Some(layout) = db.layout.filter(|_| !cached) {
-            // CSR layout: one shared-frontier drain (see brute_force for
-            // why per-settle gating yields identical outputs)
-            let srcs: Vec<u32> = query.locations().iter().map(|v| v.0).collect();
-            let mut ms = MultiSourceExpansion::new(&layout.csr, &srcs);
-            if gate.should_stop(metrics.visited_trajectories, metrics.settled_vertices) {
-                interrupted = true;
-            } else {
-                while ms.next_settled().is_some() {
-                    metrics.settled_vertices += 1;
-                    if gate.should_stop(metrics.visited_trajectories, metrics.settled_vertices) {
-                        interrupted = true;
-                        break;
-                    }
-                }
-            }
-            multi = Some(ms);
-        } else {
-            for &v in query.locations() {
-                if gate.should_stop(metrics.visited_trajectories, metrics.settled_vertices) {
-                    interrupted = true;
-                    break;
-                }
-                if cached {
-                    let mut src = CachedSource::start(db.network, v, ctx.cache());
-                    rec.enter(Phase::CacheReplay);
-                    while src.in_replay() {
-                        src.next_settled();
-                        metrics.settled_vertices += 1;
-                    }
-                    rec.enter(Phase::NetworkExpansion);
-                    while src.next_settled().is_some() {
-                        metrics.settled_vertices += 1;
-                    }
-                    sources.push(src);
-                } else {
-                    let t = shortest_path_tree(db.network, v);
-                    metrics.settled_vertices += t.reached_count();
-                    trees.push(t);
-                }
-            }
-        }
+        let (mut trees, mut interrupted) =
+            LocationTrees::settle(db, query, ctx, &mut gate, &mut metrics, rec);
 
         rec.enter(Phase::CandidateRefine);
         let mut topk = TopK::new(opts.k);
@@ -181,13 +129,7 @@ impl Algorithm for TextFirst {
                 metrics.candidates += 1;
                 let traj = db.store.get(id);
                 let tx = textual.eval(id, traj);
-                let m = if cached {
-                    similarity::evaluate_with_sources_textual(&sources, query, id, traj, tx)
-                } else if let Some(ms) = &multi {
-                    similarity::evaluate_with_multi(ms, query, id, traj, tx)
-                } else {
-                    similarity::evaluate_with_trees_textual(&trees, query, id, traj, tx)
-                };
+                let m = trees.evaluate(query, id, traj, tx);
                 debug_assert!(m.similarity <= ub + 1e-9, "bound must dominate exact");
                 metrics.heap_pushes += 1;
                 topk.offer(m);
@@ -195,13 +137,7 @@ impl Algorithm for TextFirst {
             }
         }
         rec.leave();
-        for src in &mut sources {
-            if interrupted {
-                src.poison();
-            } else {
-                src.publish();
-            }
-        }
+        trees.release(interrupted);
 
         let completeness = if interrupted {
             metrics.interrupted = 1;
@@ -271,8 +207,9 @@ mod tests {
         s: &'a TrajectoryStore,
         vidx: &'a uots_index::VertexInvertedIndex<TrajectoryId>,
         kidx: &'a uots_index::KeywordInvertedIndex<TrajectoryId>,
+        kw: &'a uots_trajectory::KeywordBlocks,
     ) -> Database<'a> {
-        Database::new(net, s, vidx).with_keyword_index(kidx)
+        Database::new(net, s, vidx, kw).with_keyword_index(kidx)
     }
 
     #[test]
@@ -280,7 +217,8 @@ mod tests {
         let (net, s) = fixture();
         let vidx = s.build_vertex_index(net.num_nodes());
         let kidx = s.build_keyword_index(16);
-        let d = db(&net, &s, &vidx, &kidx);
+        let kw = s.build_keyword_blocks(16);
+        let d = db(&net, &s, &vidx, &kidx, &kw);
         for lambda in [0.0, 0.3, 0.5, 0.9, 1.0] {
             let q = UotsQuery::with_options(
                 vec![NodeId(0), NodeId(7)],
@@ -304,7 +242,8 @@ mod tests {
         let (net, s) = fixture();
         let vidx = s.build_vertex_index(net.num_nodes());
         let kidx = s.build_keyword_index(16);
-        let d = db(&net, &s, &vidx, &kidx);
+        let kw = s.build_keyword_blocks(16);
+        let d = db(&net, &s, &vidx, &kidx, &kw);
         let q = UotsQuery::with_options(
             vec![NodeId(0)],
             KeywordSet::empty(),
@@ -328,7 +267,8 @@ mod tests {
         let (net, s) = fixture();
         let vidx = s.build_vertex_index(net.num_nodes());
         let kidx = s.build_keyword_index(16);
-        let d = db(&net, &s, &vidx, &kidx);
+        let kw = s.build_keyword_blocks(16);
+        let d = db(&net, &s, &vidx, &kidx, &kw);
         // pure textual query: only perfectly matching trajectories need exact
         // evaluation before the bound closes
         let q = UotsQuery::with_options(
@@ -355,7 +295,8 @@ mod tests {
     fn requires_keyword_index() {
         let (net, s) = fixture();
         let vidx = s.build_vertex_index(net.num_nodes());
-        let d = Database::new(&net, &s, &vidx);
+        let kw = s.build_keyword_blocks(0);
+        let d = Database::new(&net, &s, &vidx, &kw);
         let q = UotsQuery::new(vec![NodeId(0)], kws(&[1])).unwrap();
         assert!(matches!(
             TextFirst.run(&d, &q),

@@ -1,49 +1,10 @@
 //! The read-only database handle the algorithms run against.
 
-use crate::csr::CsrGraph;
 use crate::keywords::KeywordBlocks;
 use crate::{CoreError, UotsQuery};
-use std::sync::Arc;
 use uots_index::{KeywordInvertedIndex, TimestampIndex, VertexInvertedIndex};
 use uots_network::RoadNetwork;
 use uots_trajectory::{LiveSet, TrajectoryId, TrajectoryStore};
-
-/// Cache-friendly data layouts for the two hot paths, built once per
-/// dataset (or per epoch snapshot) and attached to a [`Database`] via
-/// [`Database::with_layout`].
-///
-/// With a layout attached the algorithms route textual similarity through
-/// the dense [`KeywordBlocks`] table (bitset popcounts / galloping) and
-/// full-drain spatial evaluation through [`CsrGraph`] multi-source
-/// expansion; results are bit-identical to the legacy per-candidate
-/// paths — the widened differential harness proves it per release.
-#[derive(Debug, Clone)]
-pub struct LayoutTables {
-    /// Dense per-trajectory keyword table.
-    pub keywords: KeywordBlocks,
-    /// Flat CSR adjacency mirroring the road network. `Arc`'d so epoch
-    /// snapshots over the same immutable network can share one copy.
-    pub csr: Arc<CsrGraph>,
-}
-
-impl LayoutTables {
-    /// Builds both tables from scratch.
-    pub fn build(network: &RoadNetwork, store: &TrajectoryStore, vocab_len: usize) -> Self {
-        LayoutTables {
-            keywords: KeywordBlocks::build(store, vocab_len),
-            csr: Arc::new(CsrGraph::from_network(network)),
-        }
-    }
-
-    /// Builds the keyword table for a new store revision while sharing an
-    /// existing CSR adjacency (the network is immutable across epochs).
-    pub fn build_shared(csr: Arc<CsrGraph>, store: &TrajectoryStore, vocab_len: usize) -> Self {
-        LayoutTables {
-            keywords: KeywordBlocks::build(store, vocab_len),
-            csr,
-        }
-    }
-}
 
 /// Borrowed view of everything a UOTS algorithm needs: the network, the
 /// trajectories and the indexes. Construction is cheap (all references), so
@@ -57,6 +18,9 @@ pub struct Database<'a> {
     /// vertex → trajectories (required: the expansion search probes it on
     /// every settled vertex).
     pub vertex_index: &'a VertexInvertedIndex<TrajectoryId>,
+    /// Dense per-trajectory keyword table (required: every engine scores
+    /// text on it; see [`crate::keywords`]).
+    pub keyword_blocks: &'a KeywordBlocks,
     /// keyword → trajectories (required by the textual-first baseline).
     pub keyword_index: Option<&'a KeywordInvertedIndex<TrajectoryId>>,
     /// sample-timestamp index (required by the temporal extension).
@@ -66,11 +30,6 @@ pub struct Database<'a> {
     /// are invisible to every algorithm. `None` means all ids are live —
     /// the frozen-dataset behavior.
     pub live: Option<&'a LiveSet>,
-    /// Optional cache-friendly layouts ([`LayoutTables`]): when present,
-    /// textual similarity runs on the dense keyword table and full-drain
-    /// spatial evaluation on the CSR adjacency, bit-identically to the
-    /// legacy paths. `None` selects the legacy layout.
-    pub layout: Option<&'a LayoutTables>,
 }
 
 impl<'a> Database<'a> {
@@ -78,48 +37,34 @@ impl<'a> Database<'a> {
     ///
     /// # Panics
     ///
-    /// Panics when the vertex index does not cover the network.
+    /// Panics when the vertex index does not cover the network, or the
+    /// keyword table does not cover the store (it was built for a
+    /// different store revision).
     pub fn new(
         network: &'a RoadNetwork,
         store: &'a TrajectoryStore,
         vertex_index: &'a VertexInvertedIndex<TrajectoryId>,
+        keyword_blocks: &'a KeywordBlocks,
     ) -> Self {
         assert_eq!(
             vertex_index.num_vertices(),
             network.num_nodes(),
             "vertex index does not match the network"
         );
+        assert_eq!(
+            keyword_blocks.rows(),
+            store.len(),
+            "keyword table does not cover the store"
+        );
         Database {
             network,
             store,
             vertex_index,
+            keyword_blocks,
             keyword_index: None,
             timestamp_index: None,
             live: None,
-            layout: None,
         }
-    }
-
-    /// Attaches the cache-friendly layout tables (selects the CSR/bitset
-    /// hot paths).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the tables do not cover the store/network (they were
-    /// built for a different revision).
-    pub fn with_layout(mut self, layout: &'a LayoutTables) -> Self {
-        assert_eq!(
-            layout.keywords.rows(),
-            self.store.len(),
-            "keyword table does not cover the store"
-        );
-        assert_eq!(
-            layout.csr.num_nodes(),
-            self.network.num_nodes(),
-            "CSR adjacency does not match the network"
-        );
-        self.layout = Some(layout);
-        self
     }
 
     /// Attaches the keyword inverted index (enables the textual-first
@@ -219,7 +164,8 @@ mod tests {
     fn validate_checks_locations() {
         let (net, store) = fixture();
         let vidx = store.build_vertex_index(net.num_nodes());
-        let db = Database::new(&net, &store, &vidx);
+        let kw = store.build_keyword_blocks(4);
+        let db = Database::new(&net, &store, &vidx, &kw);
         let ok = UotsQuery::new(vec![NodeId(0)], KeywordSet::empty()).unwrap();
         assert!(db.validate(&ok).is_ok());
         let bad = UotsQuery::new(vec![NodeId(99)], KeywordSet::empty()).unwrap();
@@ -233,7 +179,8 @@ mod tests {
     fn temporal_channel_requires_timestamp_index() {
         let (net, store) = fixture();
         let vidx = store.build_vertex_index(net.num_nodes());
-        let db = Database::new(&net, &store, &vidx);
+        let kw = store.build_keyword_blocks(4);
+        let db = Database::new(&net, &store, &vidx, &kw);
         let opts = crate::QueryOptions {
             weights: crate::Weights::new(1.0, 0.0, 1.0).unwrap(),
             ..Default::default()
@@ -252,6 +199,19 @@ mod tests {
     fn mismatched_vertex_index_panics() {
         let (net, store) = fixture();
         let vidx = store.build_vertex_index(net.num_nodes() + 5);
-        let _ = Database::new(&net, &store, &vidx);
+        let kw = store.build_keyword_blocks(4);
+        let _ = Database::new(&net, &store, &vidx, &kw);
+    }
+
+    #[test]
+    #[should_panic(expected = "keyword table does not cover the store")]
+    fn keyword_table_of_another_store_revision_panics() {
+        let (net, mut store) = fixture();
+        let kw = store.build_keyword_blocks(4);
+        // the store grows after the table was built: a stale revision
+        let t = store.get(TrajectoryId(0)).clone();
+        store.push(t);
+        let vidx = store.build_vertex_index(net.num_nodes());
+        let _ = Database::new(&net, &store, &vidx, &kw);
     }
 }

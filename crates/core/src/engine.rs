@@ -488,8 +488,7 @@ struct Engine<'a, 'q, 'r> {
     s_lb_exp: Vec<f64>,
     t_lb: Vec<f64>,
     t_lb_exp: Vec<f64>,
-    /// Textual scorer: dense bitset/galloping path when the database has
-    /// a layout attached, legacy merge walk otherwise (bit-identical).
+    /// Textual scorer on the database's dense keyword table.
     textual_eval: TextualEval<'a>,
     collector: Collector,
     bound_heap: BinaryHeap<BoundEntry>,
@@ -556,7 +555,7 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
         let textual_eval = TextualEval::new(
             query.options().text_measure,
             query.keywords(),
-            db.layout.map(|l| &l.keywords),
+            db.keyword_blocks,
         );
         rec.enter(Phase::TextFilter);
         let (text_rank, text_rank_usable) = match (query.keywords().is_empty(), db.keyword_index) {
@@ -1388,7 +1387,8 @@ mod tests {
     ) -> QueryResult {
         let vidx = store.build_vertex_index(net.num_nodes());
         let tidx = store.build_timestamp_index();
-        let db = Database::new(net, store, &vidx).with_timestamp_index(&tidx);
+        let kw = store.build_keyword_blocks(0);
+        let db = Database::new(net, store, &vidx, &kw).with_timestamp_index(&tidx);
         expansion_search(&db, q, s).unwrap()
     }
 
@@ -1577,7 +1577,8 @@ mod tests {
             })
             .unwrap();
         let vidx = store.build_vertex_index(net.num_nodes());
-        let db = Database::new(&net, &store, &vidx);
+        let kw = store.build_keyword_blocks(0);
+        let db = Database::new(&net, &store, &vidx, &kw);
         let oracle =
             crate::algorithms::Algorithm::run(&crate::algorithms::BruteForce, &db, &q).unwrap();
         for s in [
@@ -1604,7 +1605,8 @@ mod tests {
         let (net, store) = exhaustion_fixture();
         let vidx = store.build_vertex_index(net.num_nodes());
         let tidx = store.build_timestamp_index();
-        let db = Database::new(&net, &store, &vidx).with_timestamp_index(&tidx);
+        let kw = store.build_keyword_blocks(0);
+        let db = Database::new(&net, &store, &vidx, &kw).with_timestamp_index(&tidx);
         let q = UotsQuery::with_options(
             vec![NodeId(0), NodeId(2)],
             kws(&[2]),
@@ -1632,7 +1634,8 @@ mod tests {
     fn threshold_search_returns_exactly_the_qualifying_set() {
         let (net, store) = fixture();
         let vidx = store.build_vertex_index(net.num_nodes());
-        let db = Database::new(&net, &store, &vidx);
+        let kw = store.build_keyword_blocks(0);
+        let db = Database::new(&net, &store, &vidx, &kw);
         let q = UotsQuery::new(vec![NodeId(0), NodeId(7)], kws(&[1, 2])).unwrap();
         // oracle: brute force with a huge k, filtered
         let all = {
@@ -1664,7 +1667,8 @@ mod tests {
     fn threshold_search_validates_theta() {
         let (net, store) = fixture();
         let vidx = store.build_vertex_index(net.num_nodes());
-        let db = Database::new(&net, &store, &vidx);
+        let kw = store.build_keyword_blocks(0);
+        let db = Database::new(&net, &store, &vidx, &kw);
         let q = UotsQuery::new(vec![NodeId(0)], kws(&[])).unwrap();
         assert!(threshold_search(&db, &q, 0.0, Scheduler::heuristic()).is_err());
         assert!(threshold_search(&db, &q, 1.5, Scheduler::heuristic()).is_err());
@@ -1674,7 +1678,8 @@ mod tests {
     fn high_threshold_terminates_quickly_with_empty_result() {
         let (net, store) = fixture();
         let vidx = store.build_vertex_index(net.num_nodes());
-        let db = Database::new(&net, &store, &vidx);
+        let kw = store.build_keyword_blocks(0);
+        let db = Database::new(&net, &store, &vidx, &kw);
         // locations far from every trajectory, near-1 threshold: nothing
         // qualifies, and the fixed threshold prunes from the first step
         let q = UotsQuery::with_options(
@@ -1715,7 +1720,8 @@ mod tests {
         let (net, store) = fixture();
         let vidx = store.build_vertex_index(net.num_nodes());
         let tidx = store.build_timestamp_index();
-        let db = Database::new(&net, &store, &vidx).with_timestamp_index(&tidx);
+        let kw = store.build_keyword_blocks(0);
+        let db = Database::new(&net, &store, &vidx, &kw).with_timestamp_index(&tidx);
         let q = UotsQuery::new(vec![NodeId(0), NodeId(7)], kws(&[1, 2])).unwrap();
         let plain = expansion_search(&db, &q, Scheduler::heuristic()).unwrap();
         let mut rec = Recorder::phases_only("engine-test");

@@ -40,8 +40,6 @@
 //! publish and query, for all four algorithms, with and without a warm
 //! cache, including queries cancelled mid-stream.
 
-use crate::csr::CsrGraph;
-use crate::db::LayoutTables;
 use crate::distcache::SearchContext;
 use crate::Database;
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
@@ -49,7 +47,7 @@ use std::time::Instant;
 use uots_index::{DynamicVertexIndex, KeywordInvertedIndex, TimestampIndex, VertexInvertedIndex};
 use uots_network::RoadNetwork;
 use uots_obs::{Counter, EventJournal, Gauge, Histogram, MetricsRegistry};
-use uots_trajectory::{LiveSet, Trajectory, TrajectoryId, TrajectoryStore};
+use uots_trajectory::{KeywordBlocks, LiveSet, Trajectory, TrajectoryId, TrajectoryStore};
 
 /// Diagnostic counters describing one published epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,19 +75,15 @@ pub struct EpochSnapshot {
     vertex_index: VertexInvertedIndex<TrajectoryId>,
     keyword_index: KeywordInvertedIndex<TrajectoryId>,
     timestamp_index: TimestampIndex<TrajectoryId>,
-    /// Cache-friendly hot-path tables: the shared CSR adjacency (one per
-    /// manager — the network never changes across epochs) plus the dense
-    /// keyword table rebuilt over this epoch's store revision.
-    layout: LayoutTables,
+    /// Dense keyword table over this epoch's store revision.
+    keyword_blocks: KeywordBlocks,
     stats: EpochStats,
 }
 
 impl EpochSnapshot {
-    #[allow(clippy::too_many_arguments)]
     fn build(
         epoch: u64,
         network: Arc<RoadNetwork>,
-        csr: Arc<CsrGraph>,
         vocab_len: usize,
         store: TrajectoryStore,
         live: LiveSet,
@@ -98,7 +92,7 @@ impl EpochSnapshot {
     ) -> Self {
         let keyword_index = store.build_keyword_index_live(vocab_len, &live);
         let timestamp_index = store.build_timestamp_index_live(&live);
-        let layout = LayoutTables::build_shared(csr, &store, vocab_len);
+        let keyword_blocks = store.build_keyword_blocks(vocab_len);
         let stats = EpochStats {
             epoch,
             live: live.num_live(),
@@ -114,7 +108,7 @@ impl EpochSnapshot {
             vertex_index,
             keyword_index,
             timestamp_index,
-            layout,
+            keyword_blocks,
             stats,
         }
     }
@@ -151,17 +145,15 @@ impl EpochSnapshot {
     /// indexes cover exactly the live subset and the liveness mask guards
     /// the store sweeps.
     pub fn database(&self) -> Database<'_> {
-        Database::new(&self.network, &self.store, &self.vertex_index)
-            .with_keyword_index(&self.keyword_index)
-            .with_timestamp_index(&self.timestamp_index)
-            .with_live_set(&self.live)
-            .with_layout(&self.layout)
-    }
-
-    /// The snapshot's hot-path layout tables (shared CSR + dense keyword
-    /// table); exposed for benchmarks and layout-differential tests.
-    pub fn layout(&self) -> &LayoutTables {
-        &self.layout
+        Database::new(
+            &self.network,
+            &self.store,
+            &self.vertex_index,
+            &self.keyword_blocks,
+        )
+        .with_keyword_index(&self.keyword_index)
+        .with_timestamp_index(&self.timestamp_index)
+        .with_live_set(&self.live)
     }
 
     /// Rebuilds a compacted dataset of the surviving trajectories from
@@ -241,9 +233,6 @@ pub struct EpochManager {
     current: RwLock<Arc<EpochSnapshot>>,
     writer: Mutex<WriterState>,
     network: Arc<RoadNetwork>,
-    /// CSR adjacency of `network`, built once and shared (`Arc`) by every
-    /// snapshot this manager publishes.
-    csr: Arc<CsrGraph>,
     vocab_len: usize,
     metrics: Option<EpochMetrics>,
     journal: Option<EventJournal>,
@@ -349,11 +338,9 @@ impl EpochManager {
                 }
             }
         }
-        let csr = Arc::new(CsrGraph::from_network(&network));
         let seed = EpochSnapshot::build(
             epoch,
             Arc::clone(&network),
-            Arc::clone(&csr),
             vocab_len,
             store.clone(),
             live.clone(),
@@ -375,7 +362,6 @@ impl EpochManager {
                 last_publish: Instant::now(),
             }),
             network,
-            csr,
             vocab_len,
             metrics,
             journal: None,
@@ -485,7 +471,6 @@ impl EpochManager {
         let snapshot = Arc::new(EpochSnapshot::build(
             epoch,
             Arc::clone(&self.network),
-            Arc::clone(&self.csr),
             self.vocab_len,
             w.store.clone(),
             w.live.clone(),

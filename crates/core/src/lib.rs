@@ -18,7 +18,7 @@
 //! use uots_datagen::{workload, Dataset, DatasetConfig};
 //!
 //! let ds = Dataset::build(&DatasetConfig::small(50, 42)).unwrap();
-//! let db = Database::new(&ds.network, &ds.store, &ds.vertex_index)
+//! let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks)
 //!     .with_keyword_index(&ds.keyword_index);
 //! let spec = &workload::generate(&ds, &workload::WorkloadConfig::default())[0];
 //! let query = UotsQuery::new(spec.locations.clone(), spec.keywords.clone()).unwrap();
@@ -54,7 +54,6 @@
 
 pub mod algorithms;
 pub mod budget;
-pub mod csr;
 mod db;
 pub mod distcache;
 mod engine;
@@ -79,8 +78,7 @@ pub mod wal;
 pub use uots_storage as storage;
 
 pub use budget::{CancellationToken, Completeness, ExecutionBudget, RunControl};
-pub use csr::{CsrError, CsrGraph, MsSettled, MultiSourceExpansion};
-pub use db::{Database, LayoutTables};
+pub use db::Database;
 pub use distcache::{
     no_cache_env, CacheStats, CachedSource, DistanceCache, SearchContext, SourcePrefix,
     DEFAULT_CACHE_CAPACITY,

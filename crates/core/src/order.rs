@@ -217,7 +217,8 @@ mod tests {
         let fwd = store.push(traj(&[0, 2, 4, 6])); // bottom row, left→right
         let rev = store.push(traj(&[6, 4, 2, 0]));
         let vidx = store.build_vertex_index(net.num_nodes());
-        let db = Database::new(&net, &store, &vidx);
+        let kw = store.build_keyword_blocks(0);
+        let db = Database::new(&net, &store, &vidx, &kw);
         // places in left→right order
         let q = UotsQuery::new(vec![NodeId(0), NodeId(3), NodeId(6)], KeywordSet::empty()).unwrap();
         let mk = |id| Match {
@@ -251,7 +252,8 @@ mod tests {
         let a = store.push(traj(&[0, 1]));
         let b = store.push(traj(&[24, 23]));
         let vidx = store.build_vertex_index(net.num_nodes());
-        let db = Database::new(&net, &store, &vidx);
+        let kw = store.build_keyword_blocks(0);
+        let db = Database::new(&net, &store, &vidx, &kw);
         let q = UotsQuery::new(vec![NodeId(0)], KeywordSet::empty()).unwrap();
         let mut result = QueryResult {
             matches: vec![
@@ -296,7 +298,8 @@ mod tests {
         // exact certificate cannot survive a weighted rerank
         store.push(traj(&[63]));
         let vidx = store.build_vertex_index(net.num_nodes());
-        let db = Database::new(&net, &store, &vidx);
+        let kw = store.build_keyword_blocks(0);
+        let db = Database::new(&net, &store, &vidx, &kw);
         let q = UotsQuery::new(vec![NodeId(0), NodeId(3), NodeId(6)], KeywordSet::empty()).unwrap();
         let mk = |id, sim| Match {
             id,
@@ -344,7 +347,8 @@ mod tests {
         let fwd = store.push(traj(&[0, 2, 4, 6]));
         let rev = store.push(traj(&[6, 4, 2, 0]));
         let vidx = store.build_vertex_index(net.num_nodes());
-        let db = Database::new(&net, &store, &vidx);
+        let kw = store.build_keyword_blocks(0);
+        let db = Database::new(&net, &store, &vidx, &kw);
         let q = UotsQuery::new(vec![NodeId(0), NodeId(3), NodeId(6)], KeywordSet::empty()).unwrap();
         let mk = |id, sim| Match {
             id,
@@ -377,7 +381,8 @@ mod tests {
             store.push(traj(&[63, 0, 63])),
         ];
         let vidx = store.build_vertex_index(net.num_nodes());
-        let db = Database::new(&net, &store, &vidx);
+        let kw = store.build_keyword_blocks(0);
+        let db = Database::new(&net, &store, &vidx, &kw);
         let cache = Arc::new(DistanceCache::new(1 << 14));
         let ctx = SearchContext::with_cache(Arc::clone(&cache));
         let queries = [

@@ -695,7 +695,7 @@ mod tests {
     #[test]
     fn parallel_results_match_sequential() {
         let (ds, queries) = setup();
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index)
+        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks)
             .with_keyword_index(&ds.keyword_index);
         let algo = Expansion::default();
         let seq = run_batch(&db, &algo, &queries, 1).unwrap();
@@ -713,7 +713,7 @@ mod tests {
     #[test]
     fn crossbeam_executor_matches_rayon() {
         let (ds, queries) = setup();
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index)
+        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks)
             .with_keyword_index(&ds.keyword_index);
         let algo = Expansion::default();
         let rayon_results = run_batch(&db, &algo, &queries, 3).unwrap();
@@ -731,7 +731,7 @@ mod tests {
     #[test]
     fn crossbeam_executor_handles_more_threads_than_queries() {
         let (ds, queries) = setup();
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index);
+        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks);
         let algo = Expansion::default();
         let one = &queries[..1];
         let r = run_batch_crossbeam(&db, &algo, one, 16).unwrap();
@@ -741,7 +741,7 @@ mod tests {
     #[test]
     fn aggregation_sums_per_query_metrics() {
         let (ds, queries) = setup();
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index);
+        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks);
         let algo = Expansion::default();
         let (results, agg) = run_batch_aggregated(&db, &algo, &queries, 2).unwrap();
         assert_eq!(agg.queries, queries.len());
@@ -752,7 +752,7 @@ mod tests {
     #[test]
     fn errors_propagate() {
         let (ds, _) = setup();
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index);
+        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks);
         let bad = UotsQuery::new(
             vec![uots_network::NodeId(1_000_000)],
             uots_text::KeywordSet::empty(),
@@ -765,7 +765,7 @@ mod tests {
     #[test]
     fn partial_policy_isolates_a_panicking_query() {
         let (ds, queries) = setup();
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index);
+        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks);
         let algo = FaultyAlgorithm::new(Expansion::default(), 0, "injected fault");
         let out = run_batch_with(
             &db,
@@ -786,7 +786,7 @@ mod tests {
     #[test]
     fn fail_fast_policy_surfaces_the_panic_as_an_error() {
         let (ds, queries) = setup();
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index);
+        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks);
         let algo = FaultyAlgorithm::new(Expansion::default(), 0, "injected fault");
         let err = run_batch_with(
             &db,
@@ -802,7 +802,7 @@ mod tests {
     #[test]
     fn crossbeam_executor_survives_a_panicking_query() {
         let (ds, queries) = setup();
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index);
+        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks);
         let algo = FaultyAlgorithm::new(Expansion::default(), 2, "boom");
         let err = run_batch_crossbeam(&db, &algo, &queries, 3).unwrap_err();
         assert!(matches!(err, CoreError::QueryPanicked(ref m) if m.contains("boom")));
@@ -813,7 +813,7 @@ mod tests {
     #[test]
     fn admission_bound_rejects_oversized_batches() {
         let (ds, queries) = setup();
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index);
+        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks);
         let opts = BatchOptions {
             max_batch: Some(4),
             ..BatchOptions::partial(2)
@@ -838,7 +838,7 @@ mod tests {
     #[test]
     fn batch_deadline_cancels_in_flight_queries() {
         let (ds, queries) = setup();
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index);
+        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks);
         let algo = SlowAlgorithm::new(Expansion::default(), Duration::from_secs(3600));
         let opts = BatchOptions {
             deadline: Some(Duration::from_millis(20)),
@@ -855,7 +855,7 @@ mod tests {
     #[test]
     fn observer_isolates_a_panic_and_drains_its_gauges() {
         let (ds, queries) = setup();
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index);
+        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks);
         let registry = uots_obs::MetricsRegistry::default();
         let obs = BatchObserver::new(&registry);
         let algo = FaultyAlgorithm::new(Expansion::default(), 0, "injected fault");
@@ -885,7 +885,7 @@ mod tests {
     #[test]
     fn phase_durations_survive_batch_execution_and_reach_the_registry() {
         let (ds, queries) = setup();
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index)
+        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks)
             .with_keyword_index(&ds.keyword_index);
         let registry = uots_obs::MetricsRegistry::default();
         let obs = BatchObserver::new(&registry);
@@ -923,7 +923,7 @@ mod tests {
     #[test]
     fn observer_keeps_counting_under_fail_fast_and_admission_rejection() {
         let (ds, queries) = setup();
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index);
+        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks);
         let registry = uots_obs::MetricsRegistry::default();
         let obs = BatchObserver::new(&registry);
         let algo = FaultyAlgorithm::new(Expansion::default(), 0, "boom");
@@ -969,7 +969,7 @@ mod tests {
     #[test]
     fn interrupted_counts_survive_deadline_under_both_policies() {
         let (ds, queries) = setup();
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index);
+        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks);
         let algo = SlowAlgorithm::new(Expansion::default(), Duration::from_secs(3600));
         for opts in [
             BatchOptions {
@@ -1004,7 +1004,7 @@ mod tests {
     #[test]
     fn crossbeam_observed_attributes_work_to_workers() {
         let (ds, queries) = setup();
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index);
+        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks);
         let registry = uots_obs::MetricsRegistry::default();
         let obs = BatchObserver::new(&registry);
         let threads = 3;
@@ -1030,7 +1030,7 @@ mod tests {
         use crate::distcache::DistanceCache;
         use std::sync::Arc;
         let (ds, queries) = setup();
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index)
+        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks)
             .with_keyword_index(&ds.keyword_index);
         let algo = Expansion::default();
         let baseline = run_batch(&db, &algo, &queries, 2).unwrap();
@@ -1063,7 +1063,7 @@ mod tests {
         use crate::distcache::DistanceCache;
         use std::sync::Arc;
         let (ds, queries) = setup();
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index)
+        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks)
             .with_keyword_index(&ds.keyword_index);
         let algo = Expansion::default();
         let baseline = run_batch_crossbeam(&db, &algo, &queries, 3).unwrap();
@@ -1115,7 +1115,7 @@ mod tests {
     #[test]
     fn shared_token_cancels_the_whole_batch() {
         let (ds, queries) = setup();
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index);
+        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks);
         let token = CancellationToken::new();
         token.cancel();
         let out = run_batch_with(

@@ -20,9 +20,9 @@
 //! algorithm whose pruning lever actually has purchase on it. In
 //! particular, *full-drain-shaped* queries — many sources and ubiquitous
 //! keywords, where per-trajectory bounds cannot prune — go to
-//! [`BruteForce`], whose evaluation rides the shared-frontier
-//! [`crate::MultiSourceExpansion`] when a layout is attached: one batched
-//! Dijkstra instead of `m` scheduled single-source expansions.
+//! [`BruteForce`]: `m` plain shortest-path trees and one evaluation sweep
+//! instead of `m` scheduled single-source expansions paying for bound
+//! upkeep that never prunes.
 //!
 //! [`Planner`] implements [`Algorithm`], so it drops into every existing
 //! execution funnel ([`crate::parallel::run_batch_epoch`] and friends)
@@ -42,8 +42,8 @@ use uots_obs::Recorder;
 /// the `--force-algorithm` input).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AlgorithmKind {
-    /// The exact oracle; full-drain evaluation (multi-source batched
-    /// Dijkstra when a layout is attached).
+    /// The exact oracle; full-drain evaluation (one shortest-path tree per
+    /// query location, then every live trajectory).
     BruteForce,
     /// Textual filter-and-refine baseline (requires the keyword index).
     TextFirst,
@@ -125,8 +125,8 @@ pub struct QueryStats {
 /// pruning machinery's setup cost.
 pub const TINY_LIVE: usize = 128;
 /// `m` at or above which (with non-selective keywords) the query is
-/// "full-drain-shaped": bounds cannot prune, so the shared-frontier
-/// multi-source drain wins.
+/// "full-drain-shaped": bounds cannot prune, so `m` plain trees plus one
+/// evaluation sweep win.
 pub const FULL_DRAIN_M: usize = 8;
 /// Selectivity at or above which keywords are considered ubiquitous
 /// (useless as a filter).
@@ -204,8 +204,8 @@ impl Planner {
     /// 4. `m ≥` [`FULL_DRAIN_M`] *and* selectivity `≥`
     ///    [`UBIQUITOUS_SELECTIVITY`] → [`AlgorithmKind::BruteForce`] —
     ///    the full-drain shape: many sources, no textual filter power,
-    ///    bounds prune nothing, so the shared-frontier multi-source drain
-    ///    (one batched Dijkstra) wins;
+    ///    bounds prune nothing, so `m` plain shortest-path trees and one
+    ///    evaluation sweep win;
     /// 5. `m == 1` → [`AlgorithmKind::Expansion`] tagged
     ///    `"single-source"` — with one source there is nothing to
     ///    schedule, but the expansion's per-trajectory bound still
@@ -383,7 +383,8 @@ mod tests {
         let (net, store) = controlled_fixture();
         let vidx = store.build_vertex_index(net.num_nodes());
         let kidx = store.build_keyword_index(2);
-        let db = crate::Database::new(&net, &store, &vidx).with_keyword_index(&kidx);
+        let kw = store.build_keyword_blocks(2);
+        let db = crate::Database::new(&net, &store, &vidx, &kw).with_keyword_index(&kidx);
         let (ubiq, rare) = (KeywordId(0), KeywordId(1));
         let planner = Planner::new();
 
@@ -440,7 +441,7 @@ mod tests {
     #[test]
     fn forced_kind_wins_over_every_rule() {
         let ds = dataset();
-        let db = crate::Database::new(&ds.network, &ds.store, &ds.vertex_index)
+        let db = crate::Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks)
             .with_keyword_index(&ds.keyword_index);
         let q = query(&ds, 1, &[], 0.5, 1);
         for kind in AlgorithmKind::ALL {
@@ -453,7 +454,7 @@ mod tests {
     #[test]
     fn tiny_datasets_go_to_the_oracle() {
         let ds = Dataset::build(&DatasetConfig::small(30, 5)).unwrap();
-        let db = crate::Database::new(&ds.network, &ds.store, &ds.vertex_index)
+        let db = crate::Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks)
             .with_keyword_index(&ds.keyword_index);
         let q = UotsQuery::new(vec![NodeId(0), NodeId(1)], KeywordSet::empty()).unwrap();
         let d = Planner::new().decide(&db, &q);
@@ -487,7 +488,8 @@ mod tests {
         // index built over a wider vocab than the store uses: keyword 2+
         // are interned but have no postings anywhere
         let kidx = store.build_keyword_index(8);
-        let db = crate::Database::new(&net, &store, &vidx).with_keyword_index(&kidx);
+        let kw = store.build_keyword_blocks(8);
+        let db = crate::Database::new(&net, &store, &vidx, &kw).with_keyword_index(&kidx);
         let planner = Planner::new();
         let q = |kws: Vec<KeywordId>| {
             UotsQuery::with_options(
@@ -529,7 +531,8 @@ mod tests {
     fn no_keyword_index_never_chooses_text_first() {
         let (net, store) = controlled_fixture();
         let vidx = store.build_vertex_index(net.num_nodes());
-        let db = crate::Database::new(&net, &store, &vidx);
+        let kw = store.build_keyword_blocks(0);
+        let db = crate::Database::new(&net, &store, &vidx, &kw);
         let q = UotsQuery::with_options(
             (0..4u32).map(NodeId).collect(),
             KeywordSet::from_ids([KeywordId(1)]),

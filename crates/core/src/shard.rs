@@ -977,7 +977,8 @@ mod tests {
         let (net, store) = fixture(60);
         let vidx = store.build_vertex_index(net.num_nodes());
         let kidx = store.build_keyword_index(8);
-        let db = crate::Database::new(&net, &store, &vidx).with_keyword_index(&kidx);
+        let kw = store.build_keyword_blocks(8);
+        let db = crate::Database::new(&net, &store, &vidx, &kw).with_keyword_index(&kidx);
         let q = UotsQuery::with_options(
             vec![NodeId(3), NodeId(17)],
             KeywordSet::from_ids([KeywordId(2)]),
@@ -1150,7 +1151,8 @@ mod tests {
         }
         let vidx = store.build_vertex_index(net.num_nodes());
         let kidx = store.build_keyword_index(8);
-        let db = crate::Database::new(&net, &store, &vidx).with_keyword_index(&kidx);
+        let kw = store.build_keyword_blocks(8);
+        let db = crate::Database::new(&net, &store, &vidx, &kw).with_keyword_index(&kidx);
         let q = UotsQuery::with_options(
             vec![NodeId(0)],
             KeywordSet::from_ids([KeywordId(6)]),

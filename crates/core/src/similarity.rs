@@ -15,7 +15,6 @@
 //! This module computes the *exact* values (given exact distances); the
 //! engine's upper bounds live in [`crate::engine`].
 
-use crate::csr::MultiSourceExpansion;
 use crate::distcache::CachedSource;
 use crate::query::UotsQuery;
 use crate::result::Match;
@@ -101,22 +100,6 @@ pub fn spatial_distances_from_sources(sources: &[CachedSource<'_>], traj: &Traje
         .collect()
 }
 
-/// Exact per-location network distances `d(o_i, τ)` read off a **fully
-/// drained** [`MultiSourceExpansion`] (source `i` = query location `i`).
-/// Same per-vertex lookups, same `min` fold order as
-/// [`spatial_distances_from_trees`] — bit-identical distances (the
-/// multi-source Dijkstra itself settles bit-identical values, see
-/// [`crate::csr`]).
-pub fn spatial_distances_from_multi(ms: &MultiSourceExpansion<'_>, traj: &Trajectory) -> Vec<f64> {
-    (0..ms.num_sources())
-        .map(|si| {
-            traj.nodes()
-                .map(|v| ms.distance(si, v.0).unwrap_or(f64::INFINITY))
-                .fold(f64::INFINITY, f64::min)
-        })
-        .collect()
-}
-
 /// Exact per-preferred-time minimal gaps `min_i |t − t_i|`.
 pub fn temporal_gaps(times: &[f64], traj: &Trajectory) -> Vec<f64> {
     times
@@ -138,67 +121,14 @@ pub fn evaluate_with_trees(
     id: TrajectoryId,
     traj: &Trajectory,
 ) -> Match {
-    evaluate_with_trees_textual(trees, query, id, traj, textual_component(query, traj))
-}
-
-/// [`evaluate_with_trees`] with the textual channel value supplied by the
-/// caller (the dense [`crate::keywords`] table computes it bit-identically
-/// to [`textual_component`]); spatial/temporal math is unchanged.
-pub fn evaluate_with_trees_textual(
-    trees: &[ShortestPathTree],
-    query: &UotsQuery,
-    id: TrajectoryId,
-    traj: &Trajectory,
-    textual: f64,
-) -> Match {
-    debug_assert_eq!(trees.len(), query.num_locations());
     let sdists = spatial_distances_from_trees(trees, traj);
-    finish_match(&sdists, textual, query, id, traj)
-}
-
-/// [`evaluate_with_trees`] over fully drained [`CachedSource`]s instead of
-/// shortest-path trees; identical channel math, identical fold order.
-pub fn evaluate_with_sources(
-    sources: &[CachedSource<'_>],
-    query: &UotsQuery,
-    id: TrajectoryId,
-    traj: &Trajectory,
-) -> Match {
-    evaluate_with_sources_textual(sources, query, id, traj, textual_component(query, traj))
-}
-
-/// [`evaluate_with_sources`] with a caller-supplied textual channel value.
-pub fn evaluate_with_sources_textual(
-    sources: &[CachedSource<'_>],
-    query: &UotsQuery,
-    id: TrajectoryId,
-    traj: &Trajectory,
-    textual: f64,
-) -> Match {
-    debug_assert_eq!(sources.len(), query.num_locations());
-    let sdists = spatial_distances_from_sources(sources, traj);
-    finish_match(&sdists, textual, query, id, traj)
-}
-
-/// [`evaluate_with_trees`] over a fully drained [`MultiSourceExpansion`]
-/// with a caller-supplied textual channel value; identical channel math,
-/// identical fold order.
-pub fn evaluate_with_multi(
-    ms: &MultiSourceExpansion<'_>,
-    query: &UotsQuery,
-    id: TrajectoryId,
-    traj: &Trajectory,
-    textual: f64,
-) -> Match {
-    debug_assert_eq!(ms.num_sources(), query.num_locations());
-    let sdists = spatial_distances_from_multi(ms, traj);
-    finish_match(&sdists, textual, query, id, traj)
+    finish_match(&sdists, textual_component(query, traj), query, id, traj)
 }
 
 /// Shared tail of every exact evaluation: channel composition from the
 /// per-location distances and the textual value, in the one canonical
 /// operation order.
-fn finish_match(
+pub(crate) fn finish_match(
     sdists: &[f64],
     textual: f64,
     query: &UotsQuery,

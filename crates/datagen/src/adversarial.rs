@@ -18,7 +18,6 @@
 use crate::{BuildError, Dataset, DatasetConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use uots_index::GridIndex;
 use uots_network::{NetworkBuilder, NodeId, Point};
 use uots_trajectory::{Sample, TagModelConfig, TagSampler, Trajectory, TrajectoryStore};
 
@@ -53,18 +52,13 @@ pub fn hub_spike(num_trips: usize, seed: u64) -> Result<Dataset, BuildError> {
         );
     }
 
-    let vertex_index = store.build_vertex_index(base.network.num_nodes());
-    let keyword_index = store.build_keyword_index(base.vocab.len());
-    Ok(Dataset {
-        name: cfg.name,
-        network: base.network,
+    Ok(Dataset::from_parts(
+        cfg.name,
+        base.network,
         store,
-        vocab: base.vocab,
-        tags: base.tags,
-        vertex_index,
-        keyword_index,
-        grid: base.grid,
-    })
+        base.vocab,
+        base.tags,
+    ))
 }
 
 /// Lattice side length of each [`split_city`] island.
@@ -152,19 +146,13 @@ pub fn split_city(
         }
     }
 
-    let vertex_index = store.build_vertex_index(network.num_nodes());
-    let keyword_index = store.build_keyword_index(vocab.len());
-    let grid = GridIndex::build(network.points(), 8);
-    Ok(Dataset {
-        name: format!("split-city ({components}×{trips_per_component} trips, seed {seed})"),
+    Ok(Dataset::from_parts(
+        format!("split-city ({components}×{trips_per_component} trips, seed {seed})"),
         network,
         store,
         vocab,
         tags,
-        vertex_index,
-        keyword_index,
-        grid,
-    })
+    ))
 }
 
 #[cfg(test)]

@@ -21,8 +21,8 @@ use uots_network::generators::{grid_city, ring_radial, GridCityConfig, RingRadia
 use uots_network::{NodeId, Point, RoadNetwork};
 use uots_text::Vocabulary;
 use uots_trajectory::{
-    DatasetStats, TagModelConfig, TagSampler, TrajectoryError, TrajectoryId, TrajectoryStore,
-    TripGenerator, TripGeneratorConfig,
+    DatasetStats, KeywordBlocks, TagModelConfig, TagSampler, TrajectoryError, TrajectoryId,
+    TrajectoryStore, TripGenerator, TripGeneratorConfig,
 };
 
 /// Which synthetic network family to generate.
@@ -167,11 +167,40 @@ pub struct Dataset {
     pub vertex_index: VertexInvertedIndex<TrajectoryId>,
     /// keyword → trajectories index (textual baseline).
     pub keyword_index: KeywordInvertedIndex<TrajectoryId>,
+    /// Dense per-trajectory keyword table (textual scoring).
+    pub keyword_blocks: KeywordBlocks,
     /// Spatial grid over network vertices (query-point snapping).
     pub grid: GridIndex,
 }
 
 impl Dataset {
+    /// Assembles a dataset from its generated parts, building every
+    /// query-time index (vertex, keyword, keyword table, grid) over
+    /// `store`.
+    pub fn from_parts(
+        name: String,
+        network: RoadNetwork,
+        store: TrajectoryStore,
+        vocab: Vocabulary,
+        tags: TagSampler,
+    ) -> Self {
+        let vertex_index = store.build_vertex_index(network.num_nodes());
+        let keyword_index = store.build_keyword_index(vocab.len());
+        let keyword_blocks = store.build_keyword_blocks(vocab.len());
+        let grid = GridIndex::build(network.points(), 8);
+        Dataset {
+            name,
+            network,
+            store,
+            vocab,
+            tags,
+            vertex_index,
+            keyword_index,
+            keyword_blocks,
+            grid,
+        }
+    }
+
     /// Builds the dataset described by `cfg`. This generates the network,
     /// all trips, and every index; cost is dominated by routing one A*
     /// query per trip.
@@ -191,19 +220,13 @@ impl Dataset {
                 TripGenerator::new(&network, cfg.trips.clone()).map_err(BuildError::Trajectory)?;
             generator.generate(&tags)
         };
-        let vertex_index = store.build_vertex_index(network.num_nodes());
-        let keyword_index = store.build_keyword_index(vocab.len());
-        let grid = GridIndex::build(network.points(), 8);
-        Ok(Dataset {
-            name: cfg.name.clone(),
+        Ok(Dataset::from_parts(
+            cfg.name.clone(),
             network,
             store,
             vocab,
             tags,
-            vertex_index,
-            keyword_index,
-            grid,
-        })
+        ))
     }
 
     /// [`build`](Self::build) with trip generation fanned out across a
@@ -269,19 +292,13 @@ impl Dataset {
             }
         }
 
-        let vertex_index = store.build_vertex_index(network.num_nodes());
-        let keyword_index = store.build_keyword_index(vocab.len());
-        let grid = GridIndex::build(network.points(), 8);
-        Ok(Dataset {
-            name: cfg.name.clone(),
+        Ok(Dataset::from_parts(
+            cfg.name.clone(),
             network,
             store,
             vocab,
             tags,
-            vertex_index,
-            keyword_index,
-            grid,
-        })
+        ))
     }
 
     /// Snaps an arbitrary point to its nearest network vertex.

@@ -23,7 +23,7 @@
 //! ```
 //!
 //! The `vtab` section pins the word → dense-[`KeywordId`] interning the
-//! layout tables (`uots_core::KeywordBlocks`) are built over. It is
+//! keyword table (`uots_trajectory::KeywordBlocks`) is built over. It is
 //! length-framed, so readers skip payload versions they do not know.
 //! Legacy `UOTSDS1` payloads (identical but with no `vtab` section) still
 //! load: the interning is derived on load from vocabulary order, which is
@@ -31,7 +31,6 @@
 
 use crate::{Dataset, DatasetConfig};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use uots_index::GridIndex;
 use uots_network::{NetworkBuilder, NodeId, Point, RoadNetwork};
 use uots_text::{KeywordId, KeywordSet, Vocabulary};
 use uots_trajectory::{LiveSet, Sample, TagModelConfig, TagSampler, Trajectory, TrajectoryStore};
@@ -239,19 +238,7 @@ pub fn load(mut buf: &[u8]) -> Result<Dataset, PersistError> {
         )));
     }
 
-    let vertex_index = store.build_vertex_index(network.num_nodes());
-    let keyword_index = store.build_keyword_index(vocab.len());
-    let grid = GridIndex::build(network.points(), 8);
-    Ok(Dataset {
-        name,
-        network,
-        store,
-        vocab,
-        tags,
-        vertex_index,
-        keyword_index,
-        grid,
-    })
+    Ok(Dataset::from_parts(name, network, store, vocab, tags))
 }
 
 fn read_string(buf: &mut &[u8], what: &'static str) -> Result<String, PersistError> {

@@ -13,6 +13,12 @@ pub enum NetworkError {
     BadWeight(f64),
     /// A network must have at least one vertex.
     EmptyNetwork,
+    /// More vertices than the `u32` vertex ids and CSR row offsets can
+    /// address.
+    TooManyNodes(usize),
+    /// More edges than the `u32` CSR row offsets can delimit: each
+    /// undirected edge takes two adjacency entries.
+    TooManyEdges(usize),
     /// A generator configuration failed validation.
     BadGeneratorConfig(String),
     /// A textual edge-list could not be parsed.
@@ -31,6 +37,10 @@ impl std::fmt::Display for NetworkError {
             NetworkError::SelfLoop(v) => write!(f, "self-loop at {v}"),
             NetworkError::BadWeight(w) => write!(f, "bad edge weight {w}"),
             NetworkError::EmptyNetwork => write!(f, "network has no vertices"),
+            NetworkError::TooManyNodes(n) => write!(f, "{n} vertices exceed the u32 id space"),
+            NetworkError::TooManyEdges(e) => {
+                write!(f, "{e} edges exceed the u32 adjacency offset space")
+            }
             NetworkError::BadGeneratorConfig(msg) => write!(f, "bad generator config: {msg}"),
             NetworkError::Parse { line, message } => {
                 write!(f, "parse error on line {line}: {message}")

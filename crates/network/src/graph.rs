@@ -99,6 +99,11 @@ impl NetworkBuilder {
     }
 
     /// Adds a vertex located at `p` and returns its id.
+    ///
+    /// Ids are `u32`; a builder holding more than `u32::MAX` vertices is
+    /// refused by [`build`](Self::build) with
+    /// [`NetworkError::TooManyNodes`], so an id past that range never
+    /// reaches a network.
     pub fn add_node(&mut self, p: Point) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(p);
@@ -125,7 +130,9 @@ impl NetworkBuilder {
     ///
     /// [`NetworkError::UnknownNode`] if an endpoint has not been added;
     /// [`NetworkError::SelfLoop`] for `a == b`;
-    /// [`NetworkError::BadWeight`] for non-finite or non-positive weights.
+    /// [`NetworkError::BadWeight`] for non-finite or non-positive weights;
+    /// [`NetworkError::TooManyEdges`] once the edge would overflow the
+    /// `u32` adjacency offsets.
     pub fn add_edge(
         &mut self,
         a: NodeId,
@@ -145,6 +152,7 @@ impl NetworkBuilder {
         if !w.is_finite() || w <= 0.0 {
             return Err(NetworkError::BadWeight(w));
         }
+        check_extents(self.nodes.len(), self.edges.len() + 1)?;
         let id = EdgeId(self.edges.len() as u32);
         self.edges.push(Edge { a, b, weight: w });
         Ok(id)
@@ -154,13 +162,35 @@ impl NetworkBuilder {
     ///
     /// # Errors
     ///
-    /// [`NetworkError::EmptyNetwork`] when no vertices were added.
+    /// [`NetworkError::EmptyNetwork`] when no vertices were added;
+    /// [`NetworkError::TooManyNodes`] when the vertices do not fit `u32`
+    /// ids.
     pub fn build(self) -> Result<RoadNetwork, NetworkError> {
         if self.nodes.is_empty() {
             return Err(NetworkError::EmptyNetwork);
         }
+        check_extents(self.nodes.len(), self.edges.len())?;
         Ok(RoadNetwork::from_parts(self.nodes, self.edges))
     }
+}
+
+/// Largest vertex count, and largest adjacency-entry count, the `u32`
+/// ids and CSR row offsets of a [`RoadNetwork`] can represent.
+const MAX_U32_EXTENT: u64 = u32::MAX as u64;
+
+/// Checks that `nodes` vertices and `edges` undirected edges fit the `u32`
+/// CSR layout: vertex ids and the `nodes + 1` row offsets are `u32`, and
+/// every edge adds one adjacency entry to each endpoint row. Pure
+/// arithmetic, so the boundary is testable without allocating a
+/// 4-billion-entry graph.
+fn check_extents(nodes: usize, edges: usize) -> Result<(), NetworkError> {
+    if nodes as u64 > MAX_U32_EXTENT {
+        return Err(NetworkError::TooManyNodes(nodes));
+    }
+    if 2 * edges as u64 > MAX_U32_EXTENT {
+        return Err(NetworkError::TooManyEdges(edges));
+    }
+    Ok(())
 }
 
 /// An immutable spatial network with CSR adjacency.
@@ -430,6 +460,25 @@ mod tests {
             NetworkBuilder::new().build(),
             Err(NetworkError::EmptyNetwork)
         ));
+    }
+
+    #[test]
+    fn extent_check_rejects_overflow_at_the_u32_boundary() {
+        let max = u32::MAX as usize;
+        // at the boundary: fits (2 · (max / 2) = max − 1 entries)
+        assert_eq!(check_extents(max, 0), Ok(()));
+        assert_eq!(check_extents(0, max / 2), Ok(()));
+        assert_eq!(check_extents(max, max / 2), Ok(()));
+        // one past: typed errors, never a wrapped id or offset
+        assert_eq!(
+            check_extents(max + 1, 0),
+            Err(NetworkError::TooManyNodes(max + 1))
+        );
+        assert_eq!(
+            check_extents(0, max / 2 + 1),
+            Err(NetworkError::TooManyEdges(max / 2 + 1))
+        );
+        assert!(NetworkError::TooManyEdges(7).to_string().contains('7'));
     }
 
     #[test]

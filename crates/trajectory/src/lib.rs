@@ -6,7 +6,8 @@
 //!
 //! * [`Trajectory`] / [`TrajectoryStore`] — validated, immutable
 //!   trajectories with dense ids plus index construction
-//!   (vertex / keyword / timestamp inverted indexes);
+//!   (vertex / keyword / timestamp inverted indexes and the dense
+//!   [`KeywordBlocks`] table);
 //! * [`TripGenerator`] — hotspot-biased shortest-path trips standing in for
 //!   the paper's T-drive taxi data;
 //! * [`TagSampler`] — category-correlated, Zipf-skewed textual attributes;
@@ -17,6 +18,7 @@
 
 mod error;
 mod generator;
+pub mod keywords;
 mod live;
 pub mod mapmatch;
 mod model;
@@ -25,6 +27,7 @@ mod tags;
 
 pub use error::TrajectoryError;
 pub use generator::{GeneratedTrip, TripGenerator, TripGeneratorConfig};
+pub use keywords::KeywordBlocks;
 pub use live::LiveSet;
 pub use model::{Sample, Trajectory, TrajectoryId, TrajectoryStore};
 pub use stats::DatasetStats;

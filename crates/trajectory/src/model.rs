@@ -6,7 +6,7 @@
 //! a 24-hour axis. Each trajectory additionally carries the textual
 //! attribute set that the UOTS query matches against.
 
-use crate::TrajectoryError;
+use crate::{KeywordBlocks, TrajectoryError};
 use serde::{Deserialize, Serialize};
 use uots_index::{KeywordInvertedIndex, TimestampIndex, VertexInvertedIndex, DAY_SECONDS};
 use uots_network::{NodeId, RoadNetwork};
@@ -227,6 +227,17 @@ impl TrajectoryStore {
             vocab_len,
             self.iter()
                 .flat_map(|(id, t)| t.keywords().iter().map(move |k| (k, id))),
+        )
+    }
+
+    /// Builds the dense per-trajectory keyword table every query scores
+    /// text on (row `i` serves `TrajectoryId(i)`; retired rows are built
+    /// too and simply never consulted). See [`KeywordBlocks::from_sets`]
+    /// for how `vocab_len` sets the width.
+    pub fn build_keyword_blocks(&self, vocab_len: usize) -> KeywordBlocks {
+        KeywordBlocks::from_sets(
+            self.trajectories.iter().map(Trajectory::keywords),
+            vocab_len,
         )
     }
 

@@ -93,8 +93,9 @@ fn main() {
     }
     let cleaned_vidx = dynamic.freeze();
 
-    let db =
-        Database::new(&ds.network, &store, &cleaned_vidx).with_keyword_index(&ds.keyword_index);
+    let kw = store.build_keyword_blocks(ds.vocab.len());
+    let db = Database::new(&ds.network, &store, &cleaned_vidx, &kw)
+        .with_keyword_index(&ds.keyword_index);
     let spec = &workload::generate(&ds, &workload::WorkloadConfig::default())[0];
     let q = UotsQuery::with_options(
         spec.locations.clone(),

@@ -64,9 +64,9 @@ pub use uots_core::wal::{FsyncPolicy, WalConfig, WalError, WalWriter};
 pub use uots_core::{
     algorithms, epoch, expansion_search, no_cache_env, order, parallel, similarity,
     threshold_search, BatchOptions, BatchPolicy, CacheStats, CancellationToken, Completeness,
-    CoreError, Database, DistanceCache, EpochManager, EpochSnapshot, ExecutionBudget, LayoutTables,
-    Match, Mutation, QueryOptions, QueryResult, RunControl, Scheduler, SearchContext,
-    SearchMetrics, TopK, UotsQuery, Weights, DEFAULT_CACHE_CAPACITY,
+    CoreError, Database, DistanceCache, EpochManager, EpochSnapshot, ExecutionBudget, Match,
+    Mutation, QueryOptions, QueryResult, RunControl, Scheduler, SearchContext, SearchMetrics, TopK,
+    UotsQuery, Weights, DEFAULT_CACHE_CAPACITY,
 };
 pub use uots_datagen::{workload, Dataset, DatasetConfig};
 pub use uots_network::{NetworkBuilder, NodeId, Point, RoadNetwork};
@@ -78,7 +78,8 @@ pub use uots_trajectory::{LiveSet, Sample, Trajectory, TrajectoryId, TrajectoryS
 /// index (the timestamp index is built per dataset on demand; attach it with
 /// [`Database::with_timestamp_index`] for temporal queries).
 pub fn db(ds: &Dataset) -> Database<'_> {
-    Database::new(&ds.network, &ds.store, &ds.vertex_index).with_keyword_index(&ds.keyword_index)
+    Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks)
+        .with_keyword_index(&ds.keyword_index)
 }
 
 /// Commonly used items in one import.

@@ -1,16 +1,15 @@
-//! Differential harness for the shared distance cache **and** the
-//! cache-friendly data layouts: over hundreds of randomized cases, every
-//! algorithm must return **bit-identical** results with and without the
-//! cache, on both the legacy (HashMap adjacency / `KeywordSet`
-//! intersection) and the CSR/bitset layouts — and all of them must equal
-//! the brute-force oracle.
+//! Differential harness for the shared distance cache and the dense
+//! keyword table: over hundreds of randomized cases, every algorithm must
+//! return **bit-identical** results with and without the cache — and all
+//! of them must equal the plain brute-force oracle.
 //!
 //! The cache is a pure memo: replaying a cached expansion prefix yields
 //! exactly the settle sequence a fresh Dijkstra would produce (the heap
 //! order is total — distance, then node id — so ties cannot reorder).
-//! The layouts are pure re-encodings: CSR Dijkstra settles the same
-//! (distance, node) sequence and the bitset/galloping Jaccard routes the
-//! same integer counts through the same float arithmetic. These tests are
+//! The oracle scores text with the `KeywordSet` merge walk and space with
+//! one shortest-path tree per location, so it shares no code with the
+//! engines' bitset/galloping keyword table: the table routes the same
+//! integer counts through the same float arithmetic, and these tests are
 //! the executable form of both claims, across:
 //!
 //! * uniform random connected networks and trajectory stores;
@@ -38,8 +37,8 @@ use uots::datagen::adversarial::{hub_spike, split_city};
 use uots::network::landmarks::Landmarks;
 use uots::prelude::*;
 use uots::{
-    DistanceCache, EpochManager, EpochSnapshot, KeywordSet, LayoutTables, NetworkBuilder,
-    QueryResult, SearchContext, TrajectoryStore, UotsQuery,
+    DistanceCache, EpochManager, EpochSnapshot, KeywordSet, NetworkBuilder, QueryResult,
+    SearchContext, TrajectoryStore, UotsQuery,
 };
 use uots_core::algorithms::{BruteForce, Expansion, IknnBaseline, TextFirst};
 use uots_core::{ClusterSnapshot, Partitioner, Planner, ShardedCluster};
@@ -89,57 +88,35 @@ fn lineup() -> Vec<(&'static str, Box<dyn Algorithm>)> {
     ]
 }
 
-/// Runs one (database, query) case on **both data layouts**: the legacy
-/// oracle uncached sets the expected fingerprint, then the CSR/bitset
-/// oracle and every algorithm — uncached and under `ctx`, legacy and
-/// layout — must reproduce it bit-exactly. Both representations share
-/// `ctx`'s cache on purpose: prefixes recorded by one layout must replay
-/// bit-identically under the other (the cache stores (distance, node)
-/// settle sequences, which the layouts agree on by construction).
-/// Returns the number of differential comparisons performed.
-fn check_case<'a>(
-    db: &Database<'a>,
-    layout: &'a LayoutTables,
-    q: &UotsQuery,
-    ctx: &SearchContext,
-    label: &str,
-) -> usize {
+/// Runs one (database, query) case: the uncached oracle sets the expected
+/// fingerprint, then the cached oracle and every algorithm — uncached and
+/// under `ctx` — must reproduce it bit-exactly. Returns the number of
+/// differential comparisons performed.
+fn check_case(db: &Database<'_>, q: &UotsQuery, ctx: &SearchContext, label: &str) -> usize {
     let want = fingerprint(&BruteForce.run(db, q).expect("oracle runs"));
-    let mut comparisons = 0;
-    for (rep, rdb) in [("legacy", *db), ("layout", db.with_layout(layout))] {
-        if rep == "layout" {
-            let oracle = BruteForce.run(&rdb, q).expect("layout oracle runs");
-            assert_eq!(
-                want,
-                fingerprint(&oracle),
-                "{label}: layout brute force diverged"
-            );
-            comparisons += 1;
-        }
-        let oracle_cached = BruteForce
-            .run_with_cache(&rdb, q, ctx)
-            .expect("oracle cached");
+    let oracle_cached = BruteForce
+        .run_with_cache(db, q, ctx)
+        .expect("oracle cached");
+    assert_eq!(
+        want,
+        fingerprint(&oracle_cached),
+        "{label}: cached brute force diverged"
+    );
+    let mut comparisons = 1;
+    for (name, algo) in lineup() {
+        let uncached = algo.run(db, q).expect("uncached run");
         assert_eq!(
             want,
-            fingerprint(&oracle_cached),
-            "{label}: cached {rep} brute force diverged"
+            fingerprint(&uncached),
+            "{label}: uncached {name} diverged from oracle"
         );
-        comparisons += 1;
-        for (name, algo) in lineup() {
-            let uncached = algo.run(&rdb, q).expect("uncached run");
-            assert_eq!(
-                want,
-                fingerprint(&uncached),
-                "{label}: uncached {rep} {name} diverged from oracle"
-            );
-            let cached = algo.run_with_cache(&rdb, q, ctx).expect("cached run");
-            assert_eq!(
-                want,
-                fingerprint(&cached),
-                "{label}: cached {rep} {name} diverged from oracle"
-            );
-            comparisons += 2;
-        }
+        let cached = algo.run_with_cache(db, q, ctx).expect("cached run");
+        assert_eq!(
+            want,
+            fingerprint(&cached),
+            "{label}: cached {name} diverged from oracle"
+        );
+        comparisons += 2;
     }
     comparisons
 }
@@ -325,19 +302,19 @@ fn differential_uniform_random() {
         let store = random_store(&mut rng, n, trips, dup);
         let vidx = store.build_vertex_index(n);
         let kidx = store.build_keyword_index(12);
-        let db = Database::new(&net, &store, &vidx).with_keyword_index(&kidx);
-        let layout = LayoutTables::build(&net, &store, 12);
+        let kw = store.build_keyword_blocks(12);
+        let db = Database::new(&net, &store, &vidx, &kw).with_keyword_index(&kidx);
         let ctx = context_for(ds_i, &net);
         let cuts = hash_cuts(&net, &store, 12);
         for q_i in 0..10 {
             let q = random_query(&mut rng, n);
             let label = format!("uniform ds{ds_i} q{q_i}");
-            cases += check_case(&db, &layout, &q, &ctx, &label);
+            cases += check_case(&db, &q, &ctx, &label);
             let want = fingerprint(&BruteForce.run(&db, &q).expect("oracle runs"));
             cases += check_sharded_case(&cuts, &q, &ctx, &want, &label);
         }
     }
-    assert!(cases >= 31 * 120, "expected ≥31 comparisons × 120 cases");
+    assert!(cases >= 23 * 120, "expected ≥23 comparisons × 120 cases");
 }
 
 /// Hub-spike datasets: one vertex's posting list covers the whole store.
@@ -346,9 +323,8 @@ fn differential_hub_spike() {
     let mut rng = StdRng::seed_from_u64(0xd1ff_0002);
     for (ds_i, seed) in [17u64, 29].into_iter().enumerate() {
         let ds = hub_spike(24, seed).expect("hub-spike builds");
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index)
+        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks)
             .with_keyword_index(&ds.keyword_index);
-        let layout = LayoutTables::build(&ds.network, &ds.store, 12);
         let n = ds.network.num_nodes();
         let ctx = context_for(ds_i, &ds.network);
         let cuts = hash_cuts(&ds.network, &ds.store, ds.vocab.len());
@@ -366,7 +342,7 @@ fn differential_hub_spike() {
                 .expect("hub query");
             }
             let label = format!("hub-spike ds{ds_i} q{q_i}");
-            check_case(&db, &layout, &q, &ctx, &label);
+            check_case(&db, &q, &ctx, &label);
             let want = fingerprint(&BruteForce.run(&db, &q).expect("oracle runs"));
             check_sharded_case(&cuts, &q, &ctx, &want, &label);
         }
@@ -380,16 +356,15 @@ fn differential_split_city() {
     let mut rng = StdRng::seed_from_u64(0xd1ff_0003);
     for (ds_i, seed) in [41u64, 57].into_iter().enumerate() {
         let ds = split_city(3, 9, seed).expect("split-city builds");
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index)
+        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks)
             .with_keyword_index(&ds.keyword_index);
-        let layout = LayoutTables::build(&ds.network, &ds.store, 12);
         let n = ds.network.num_nodes();
         let ctx = context_for(ds_i, &ds.network);
         let cuts = hash_cuts(&ds.network, &ds.store, ds.vocab.len());
         for q_i in 0..20 {
             let q = random_query(&mut rng, n);
             let label = format!("split-city ds{ds_i} q{q_i}");
-            check_case(&db, &layout, &q, &ctx, &label);
+            check_case(&db, &q, &ctx, &label);
             let want = fingerprint(&BruteForce.run(&db, &q).expect("oracle runs"));
             check_sharded_case(&cuts, &q, &ctx, &want, &label);
         }
@@ -406,8 +381,8 @@ fn differential_warm_replay_is_stable() {
     let store = random_store(&mut rng, n, 14, 2);
     let vidx = store.build_vertex_index(n);
     let kidx = store.build_keyword_index(12);
-    let db = Database::new(&net, &store, &vidx).with_keyword_index(&kidx);
-    let layout = LayoutTables::build(&net, &store, 12);
+    let kw = store.build_keyword_blocks(12);
+    let db = Database::new(&net, &store, &vidx, &kw).with_keyword_index(&kidx);
     let cache = Arc::new(DistanceCache::new(1 << 14));
     let ctx = SearchContext::with_cache(Arc::clone(&cache));
     let queries: Vec<UotsQuery> = (0..5).map(|_| random_query(&mut rng, n)).collect();
@@ -415,7 +390,7 @@ fn differential_warm_replay_is_stable() {
     for round in 0..4 {
         for (q_i, q) in queries.iter().enumerate() {
             let label = format!("warm round{round} q{q_i}");
-            check_case(&db, &layout, q, &ctx, &label);
+            check_case(&db, q, &ctx, &label);
             let want = fingerprint(&BruteForce.run(&db, q).expect("oracle runs"));
             check_sharded_case(&cuts, q, &ctx, &want, &label);
         }
@@ -451,7 +426,8 @@ fn check_epoch_case(snapshot: &EpochSnapshot, q: &UotsQuery, ctx: &SearchContext
     let (compacted, id_map) = snapshot.rebuild_compacted();
     let vidx = compacted.build_vertex_index(net.num_nodes());
     let kidx = compacted.build_keyword_index(12);
-    let oracle_db = Database::new(net, &compacted, &vidx).with_keyword_index(&kidx);
+    let kw = compacted.build_keyword_blocks(12);
+    let oracle_db = Database::new(net, &compacted, &vidx, &kw).with_keyword_index(&kidx);
     let live_db = snapshot.database();
     let want = fingerprint(&BruteForce.run(&oracle_db, q).expect("rebuild oracle runs"));
     let map_fp = |r: &QueryResult| -> Vec<(TrajectoryId, u64, u64, u64, u64)> {
@@ -464,31 +440,27 @@ fn check_epoch_case(snapshot: &EpochSnapshot, q: &UotsQuery, ctx: &SearchContext
             })
             .collect()
     };
-    // The snapshot attaches its CSR/bitset tables; stripping `layout` gives
-    // the legacy view of the *same* epoch — both must match the rebuild.
-    let mut live_legacy = live_db;
-    live_legacy.layout = None;
-    for (rep, rdb) in [("layout", live_db), ("legacy", live_legacy)] {
-        let oracle_live = BruteForce.run(&rdb, q).expect("live oracle runs");
+    let oracle_live = BruteForce.run(&live_db, q).expect("live oracle runs");
+    assert_eq!(
+        want,
+        map_fp(&oracle_live),
+        "{label}: live brute force diverged"
+    );
+    for (name, algo) in lineup() {
+        let uncached = algo.run(&live_db, q).expect("live uncached run");
         assert_eq!(
             want,
-            map_fp(&oracle_live),
-            "{label}: live {rep} brute force diverged"
+            map_fp(&uncached),
+            "{label}: live {name} diverged from rebuild"
         );
-        for (name, algo) in lineup() {
-            let uncached = algo.run(&rdb, q).expect("live uncached run");
-            assert_eq!(
-                want,
-                map_fp(&uncached),
-                "{label}: live {rep} {name} diverged from rebuild"
-            );
-            let cached = algo.run_with_cache(&rdb, q, ctx).expect("live cached run");
-            assert_eq!(
-                want,
-                map_fp(&cached),
-                "{label}: cached live {rep} {name} diverged from rebuild"
-            );
-        }
+        let cached = algo
+            .run_with_cache(&live_db, q, ctx)
+            .expect("live cached run");
+        assert_eq!(
+            want,
+            map_fp(&cached),
+            "{label}: cached live {name} diverged from rebuild"
+        );
     }
 }
 
@@ -612,7 +584,8 @@ fn differential_ingest_interrupted_queries_match_rebuild() {
     let (compacted, id_map) = snapshot.rebuild_compacted();
     let vidx = compacted.build_vertex_index(n);
     let kidx = compacted.build_keyword_index(12);
-    let oracle_db = Database::new(&net, &compacted, &vidx).with_keyword_index(&kidx);
+    let kw = compacted.build_keyword_blocks(12);
+    let oracle_db = Database::new(&net, &compacted, &vidx, &kw).with_keyword_index(&kidx);
     let live_db = snapshot.database();
     for q_i in 0..10 {
         let mut q = random_query(&mut rng, n);
@@ -621,17 +594,6 @@ fn differential_ingest_interrupted_queries_match_rebuild() {
         q = UotsQuery::with_options(q.locations().to_vec(), q.keywords().clone(), vec![], opts)
             .expect("budgeted query");
         let live = Expansion::default().run(&live_db, &q).expect("live run");
-        // the legacy view of the same snapshot must interrupt identically
-        let mut legacy_db = live_db;
-        legacy_db.layout = None;
-        let legacy = Expansion::default()
-            .run(&legacy_db, &q)
-            .expect("legacy run");
-        assert_eq!(
-            fingerprint(&live),
-            fingerprint(&legacy),
-            "q{q_i}: interrupted layouts diverged"
-        );
         let oracle = Expansion::default()
             .run(&oracle_db, &q)
             .expect("oracle run");

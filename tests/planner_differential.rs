@@ -9,14 +9,14 @@
 //! that harness proves the four algorithms agree with each other; this
 //! one proves the *dispatch layer* on top of them is invisible in the
 //! answers, and that the full-drain planner route (which sends high-m /
-//! low-selectivity queries to the multi-source shared-frontier drain via
-//! the layout-equipped oracle) is covered by real queries.
+//! low-selectivity queries to `BruteForce`'s `m` per-location trees) is
+//! covered by real queries.
 
 use uots::core::planner::{AlgorithmKind, Planner};
 use uots::prelude::*;
 use uots::{
-    workload, Dataset, DatasetConfig, KeywordSet, LayoutTables, QueryOptions, QueryResult,
-    TrajectoryStore, UotsQuery,
+    workload, Dataset, DatasetConfig, KeywordSet, QueryOptions, QueryResult, TrajectoryStore,
+    UotsQuery,
 };
 use uots_core::algorithms::Algorithm;
 use uots_network::generators::{grid_city, GridCityConfig};
@@ -102,7 +102,7 @@ fn shaped_queries(net: &uots::RoadNetwork) -> Vec<(&'static str, UotsQuery)> {
         // rare keyword, text-dominated λ → text-first route.
         ("rare-text", q(locs(2), vec![1], 0.1, 3)),
         // high m × ubiquitous keyword → the full-drain route
-        // (multi-source shared-frontier drain, satellite 3).
+        // (one shortest-path tree per location).
         ("full-drain", q(locs(10), vec![0], 0.5, 5)),
         ("full-drain-k1", q(locs(12), vec![0, 2], 0.7, 1)),
         // the default expansion path.
@@ -116,10 +116,9 @@ fn planner_routes_cover_every_branch_and_match_all_forced_algorithms() {
     let fx = fixture();
     let vertex_index = fx.store.build_vertex_index(fx.net.num_nodes());
     let keyword_index = fx.store.build_keyword_index(8);
-    let layout = LayoutTables::build(&fx.net, &fx.store, 8);
-    let db = Database::new(&fx.net, &fx.store, &vertex_index)
-        .with_keyword_index(&keyword_index)
-        .with_layout(&layout);
+    let kw = fx.store.build_keyword_blocks(8);
+    let db =
+        Database::new(&fx.net, &fx.store, &vertex_index, &kw).with_keyword_index(&keyword_index);
 
     let planner = Planner::new();
     let mut reasons = std::collections::BTreeSet::new();
