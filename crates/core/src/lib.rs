@@ -37,8 +37,10 @@
 //! * [`algorithms::BruteForce`] — the exact oracle.
 //!
 //! All algorithms return identical rankings; the evaluation compares their
-//! cost ([`SearchMetrics`]). Batches of queries run in parallel via
-//! [`parallel::run_batch`].
+//! cost ([`SearchMetrics`]). Batches of queries run in parallel through
+//! one executor, [`parallel::execute`] ([`parallel::run_batch`] for one
+//! algorithm over one [`Database`]); a [`ShardedCluster`] cut answers
+//! one query across shards, and a 1-shard cut serves an unsharded store.
 //!
 //! ## Anytime execution
 //!

@@ -7,9 +7,13 @@
 //! nothing to merge at all). This module fans a batch of queries over a
 //! rayon thread pool and preserves input order in the output.
 //!
-//! The hardened entry point is [`run_batch_with`]:
+//! Every batch runs through one executor, [`execute`], which takes a
+//! per-query runner: an algorithm over one [`Database`]
+//! ([`run_batch_ctx`], [`run_batch_observed_ctx`], [`run_batch`]) or a
+//! scatter-gather over a cluster cut (the query service). Whatever the
+//! runner, the executor provides:
 //!
-//! - **Panic isolation** — a query whose worker panics is reported as
+//! - **Panic isolation** — a query whose runner panics is reported as
 //!   [`CoreError::QueryPanicked`] for that slot; the other queries in the
 //!   batch still complete (under [`BatchPolicy::Partial`]).
 //! - **Batch deadlines** — [`BatchOptions::deadline`] folds a per-batch
@@ -23,11 +27,9 @@
 use crate::algorithms::Algorithm;
 use crate::budget::{CancellationToken, RunControl};
 use crate::distcache::SearchContext;
-use crate::epoch::{EpochManager, EpochSnapshot};
-use crate::{CoreError, Database, QueryResult, SearchMetrics, UotsQuery};
+use crate::{CoreError, Database, QueryResult, UotsQuery};
 use rayon::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 use uots_obs::{Counter, Gauge, Histogram, MetricsRegistry, Recorder, TailSampler};
 
@@ -42,7 +44,7 @@ pub enum BatchPolicy {
     Partial,
 }
 
-/// Knobs for [`run_batch_with`].
+/// Knobs for [`execute`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BatchOptions {
     /// Failure handling across the batch.
@@ -82,8 +84,8 @@ impl BatchOptions {
 /// Telemetry hooks for batch execution, backed by a shared
 /// [`MetricsRegistry`].
 ///
-/// Construct one per registry and pass it to [`run_batch_observed`] /
-/// [`run_batch_crossbeam_observed`]. The observer registers:
+/// Construct one per registry and pass it to [`run_batch_observed_ctx`] (or
+/// [`execute`]). The observer registers:
 ///
 /// - `uots_batch_pending_queries` (gauge) — admitted queries a worker has
 ///   not picked up yet (the queue depth);
@@ -199,7 +201,7 @@ impl BatchObserver {
     }
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -209,46 +211,39 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-fn run_isolated<A: Algorithm + ?Sized>(
-    db: &Database<'_>,
-    algorithm: &A,
-    query: &UotsQuery,
-    ctl: &RunControl,
-    ctx: &SearchContext,
-) -> Result<QueryResult, CoreError> {
-    catch_unwind(AssertUnwindSafe(|| {
-        let mut rec = Recorder::disabled();
-        algorithm.run_ctx(db, query, ctl, &mut rec, ctx)
-    }))
-    .unwrap_or_else(|payload| Err(CoreError::QueryPanicked(panic_message(payload))))
-}
-
-/// [`run_isolated`], optionally reporting to an observer. Observed queries
-/// run under a phases-only [`Recorder`] so their `metrics.phases` breakdown
-/// is populated; unobserved queries keep the zero-cost disabled recorder.
-/// When the observer carries a tracing [`TailSampler`], queries run under a
-/// tracing recorder instead and the finished trace is offered to the
-/// sampler (kept only for slow/best-effort/errored queries).
-fn run_observed<A: Algorithm + ?Sized>(
-    db: &Database<'_>,
-    algorithm: &A,
+/// Runs one query through `run`, isolating a panic into
+/// [`CoreError::QueryPanicked`] and optionally reporting to an observer.
+/// Observed queries run under a phases-only [`Recorder`] labelled `label`,
+/// so their `metrics.phases` breakdown is populated; unobserved queries
+/// keep the zero-cost disabled recorder. When the observer carries a
+/// tracing [`TailSampler`], queries run under a tracing recorder instead
+/// and the finished trace is offered to the sampler (kept only for
+/// slow/best-effort/errored queries).
+fn run_one<F>(
     query: &UotsQuery,
     ctl: &RunControl,
     obs: Option<&BatchObserver>,
-    ctx: &SearchContext,
-) -> Result<QueryResult, CoreError> {
+    label: &str,
+    run: &F,
+) -> Result<QueryResult, CoreError>
+where
+    F: Fn(&UotsQuery, &RunControl, &mut Recorder) -> Result<QueryResult, CoreError>,
+{
     let Some(obs) = obs else {
-        return run_isolated(db, algorithm, query, ctl, ctx);
+        return catch_unwind(AssertUnwindSafe(|| {
+            run(query, ctl, &mut Recorder::disabled())
+        }))
+        .unwrap_or_else(|payload| Err(CoreError::QueryPanicked(panic_message(payload))));
     };
     let trace_spans = obs.sampler.as_ref().and_then(|s| s.trace_spans());
     obs.on_start();
     let start = Instant::now();
     let (result, trace) = catch_unwind(AssertUnwindSafe(|| {
         let mut rec = match trace_spans {
-            Some(cap) => Recorder::tracing(algorithm.name(), cap),
-            None => Recorder::phases_only(algorithm.name()),
+            Some(cap) => Recorder::tracing(label, cap),
+            None => Recorder::phases_only(label),
         };
-        let result = algorithm.run_ctx(db, query, ctl, &mut rec, ctx);
+        let result = run(query, ctl, &mut rec);
         let trace = rec.finish().and_then(|report| report.trace);
         (result, trace)
     }))
@@ -266,13 +261,15 @@ fn run_observed<A: Algorithm + ?Sized>(
     result
 }
 
-/// Runs `queries` over `db` with `algorithm` under the given batch options
-/// and a shared cancellation token, returning per-query outcomes in input
-/// order.
+/// The batch executor: runs every query of `queries` through `run` on a
+/// pool of [`BatchOptions::threads`] workers, under the batch options and
+/// a shared cancellation token, and returns per-query outcomes in input
+/// order. `run` answers one query under the [`RunControl`] it is handed
+/// (the token plus the batch deadline, if any) and attributes phase time
+/// to the [`Recorder`] (`label` names the recorder of observed runs).
 ///
 /// Cancelling `token` mid-batch makes in-flight and not-yet-started queries
-/// return empty best-effort results; it is cloned into every query's
-/// [`RunControl`] together with the batch deadline (if any).
+/// return empty best-effort results.
 ///
 /// # Errors
 ///
@@ -281,101 +278,17 @@ fn run_observed<A: Algorithm + ?Sized>(
 /// [`BatchPolicy::FailFast`] — the first per-query error by input order.
 /// Under [`BatchPolicy::Partial`], per-query errors (including
 /// [`CoreError::QueryPanicked`]) stay in their slot of the inner `Vec`.
-pub fn run_batch_with<A: Algorithm + Sync>(
-    db: &Database<'_>,
-    algorithm: &A,
-    queries: &[UotsQuery],
-    opts: &BatchOptions,
-    token: &CancellationToken,
-) -> Result<Vec<Result<QueryResult, CoreError>>, CoreError> {
-    run_batch_inner(
-        db,
-        algorithm,
-        queries,
-        opts,
-        token,
-        None,
-        &SearchContext::default(),
-    )
-}
-
-/// [`run_batch_with`] under a shared [`SearchContext`]: every query in the
-/// batch probes and feeds the *same* distance cache, so one query's settled
-/// frontiers become the next query's replayed prefix. Results are identical
-/// to the uncached batch (the cache trades work, never answers); only the
-/// per-query metrics and wall-clock change.
-///
-/// # Errors
-///
-/// See [`run_batch_with`].
-pub fn run_batch_ctx<A: Algorithm + Sync>(
-    db: &Database<'_>,
-    algorithm: &A,
-    queries: &[UotsQuery],
-    opts: &BatchOptions,
-    token: &CancellationToken,
-    ctx: &SearchContext,
-) -> Result<Vec<Result<QueryResult, CoreError>>, CoreError> {
-    run_batch_inner(db, algorithm, queries, opts, token, None, ctx)
-}
-
-/// [`run_batch_with`] reporting queue depth, in-flight count, per-outcome
-/// counters, latency, and per-phase durations to `obs`. Error semantics are
-/// identical; the observer keeps counting even when the batch as a whole
-/// fails (fail-fast) or is rejected by admission — that is the point of it.
-///
-/// # Errors
-///
-/// See [`run_batch_with`].
-pub fn run_batch_observed<A: Algorithm + Sync>(
-    db: &Database<'_>,
-    algorithm: &A,
-    queries: &[UotsQuery],
-    opts: &BatchOptions,
-    token: &CancellationToken,
-    obs: &BatchObserver,
-) -> Result<Vec<Result<QueryResult, CoreError>>, CoreError> {
-    run_batch_inner(
-        db,
-        algorithm,
-        queries,
-        opts,
-        token,
-        Some(obs),
-        &SearchContext::default(),
-    )
-}
-
-/// [`run_batch_observed`] under a shared [`SearchContext`] — the observed
-/// counterpart of [`run_batch_ctx`]. Bind the context's cache to the same
-/// registry (via [`crate::DistanceCache::with_metrics`]) to export hit/miss
-/// counters alongside the batch gauges.
-///
-/// # Errors
-///
-/// See [`run_batch_with`].
-pub fn run_batch_observed_ctx<A: Algorithm + Sync>(
-    db: &Database<'_>,
-    algorithm: &A,
-    queries: &[UotsQuery],
-    opts: &BatchOptions,
-    token: &CancellationToken,
-    obs: &BatchObserver,
-    ctx: &SearchContext,
-) -> Result<Vec<Result<QueryResult, CoreError>>, CoreError> {
-    run_batch_inner(db, algorithm, queries, opts, token, Some(obs), ctx)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_batch_inner<A: Algorithm + Sync>(
-    db: &Database<'_>,
-    algorithm: &A,
+pub fn execute<F>(
     queries: &[UotsQuery],
     opts: &BatchOptions,
     token: &CancellationToken,
     obs: Option<&BatchObserver>,
-    ctx: &SearchContext,
-) -> Result<Vec<Result<QueryResult, CoreError>>, CoreError> {
+    label: &str,
+    run: F,
+) -> Result<Vec<Result<QueryResult, CoreError>>, CoreError>
+where
+    F: Fn(&UotsQuery, &RunControl, &mut Recorder) -> Result<QueryResult, CoreError> + Sync,
+{
     if let Some(cap) = opts.max_batch {
         if queries.len() > cap {
             if let Some(o) = obs {
@@ -401,7 +314,7 @@ fn run_batch_inner<A: Algorithm + Sync>(
     let results: Vec<Result<QueryResult, CoreError>> = pool.install(|| {
         queries
             .par_iter()
-            .map(|q| run_observed(db, algorithm, q, &ctl, obs, ctx))
+            .map(|q| run_one(q, &ctl, obs, label, &run))
             .collect()
     });
     if opts.policy == BatchPolicy::FailFast {
@@ -410,6 +323,63 @@ fn run_batch_inner<A: Algorithm + Sync>(
         }
     }
     Ok(results)
+}
+
+/// [`execute`] with `algorithm` over `db` under a shared [`SearchContext`]:
+/// every query in the batch probes and feeds the *same* distance cache, so
+/// one query's settled frontiers become the next query's replayed prefix.
+/// Results are identical to the uncached batch (the cache trades work,
+/// never answers); only the per-query metrics and wall-clock change.
+///
+/// # Errors
+///
+/// See [`execute`].
+pub fn run_batch_ctx<A: Algorithm + Sync>(
+    db: &Database<'_>,
+    algorithm: &A,
+    queries: &[UotsQuery],
+    opts: &BatchOptions,
+    token: &CancellationToken,
+    ctx: &SearchContext,
+) -> Result<Vec<Result<QueryResult, CoreError>>, CoreError> {
+    execute(
+        queries,
+        opts,
+        token,
+        None,
+        algorithm.name(),
+        |q, ctl, rec| algorithm.run_ctx(db, q, ctl, rec, ctx),
+    )
+}
+
+/// [`run_batch_ctx`] reporting queue depth, in-flight count, per-outcome
+/// counters, latency, and per-phase durations to `obs`. Error semantics are
+/// identical; the observer keeps counting even when the batch as a whole
+/// fails (fail-fast) or is rejected by admission — that is the point of it.
+/// Bind the context's cache to the same registry (via
+/// [`crate::DistanceCache::with_metrics`]) to export hit/miss counters
+/// alongside the batch gauges.
+///
+/// # Errors
+///
+/// See [`execute`].
+pub fn run_batch_observed_ctx<A: Algorithm + Sync>(
+    db: &Database<'_>,
+    algorithm: &A,
+    queries: &[UotsQuery],
+    opts: &BatchOptions,
+    token: &CancellationToken,
+    obs: &BatchObserver,
+    ctx: &SearchContext,
+) -> Result<Vec<Result<QueryResult, CoreError>>, CoreError> {
+    execute(
+        queries,
+        opts,
+        token,
+        Some(obs),
+        algorithm.name(),
+        |q, ctl, rec| algorithm.run_ctx(db, q, ctl, rec, ctx),
+    )
 }
 
 /// Runs `queries` over `db` with `algorithm` on a dedicated pool of
@@ -430,243 +400,16 @@ pub fn run_batch<A: Algorithm + Sync>(
     queries: &[UotsQuery],
     threads: usize,
 ) -> Result<Vec<QueryResult>, CoreError> {
-    run_batch_with(
+    run_batch_ctx(
         db,
         algorithm,
         queries,
         &BatchOptions::fail_fast(threads),
         &CancellationToken::new(),
+        &SearchContext::default(),
     )?
     .into_iter()
     .collect()
-}
-
-/// Alternative executor on crossbeam scoped threads with a shared atomic
-/// work cursor (no rayon): demonstrates that the per-query searches need
-/// no coordination beyond handing out indices. Produces exactly the same
-/// results as [`run_batch`]; useful as a dependency-light baseline and for
-/// measuring scheduler overhead differences.
-///
-/// # Errors
-///
-/// Returns the first query error encountered (by input order). A panicking
-/// query is caught inside its worker and surfaced as
-/// [`CoreError::QueryPanicked`]; it cannot take the other workers down.
-pub fn run_batch_crossbeam<A: Algorithm + Sync>(
-    db: &Database<'_>,
-    algorithm: &A,
-    queries: &[UotsQuery],
-    threads: usize,
-) -> Result<Vec<QueryResult>, CoreError> {
-    run_batch_crossbeam_inner(
-        db,
-        algorithm,
-        queries,
-        threads,
-        None,
-        &SearchContext::default(),
-    )
-}
-
-/// [`run_batch_crossbeam`] under a shared [`SearchContext`] — one distance
-/// cache across all scoped workers, exercising the cache's concurrent
-/// publish/probe path without rayon in the loop.
-///
-/// # Errors
-///
-/// See [`run_batch_crossbeam`].
-pub fn run_batch_crossbeam_ctx<A: Algorithm + Sync>(
-    db: &Database<'_>,
-    algorithm: &A,
-    queries: &[UotsQuery],
-    threads: usize,
-    ctx: &SearchContext,
-) -> Result<Vec<QueryResult>, CoreError> {
-    run_batch_crossbeam_inner(db, algorithm, queries, threads, None, ctx)
-}
-
-/// [`run_batch_crossbeam`] reporting to `obs`, with one additional
-/// `uots_worker_queries_total{worker="<i>"}` counter per scoped worker —
-/// the per-worker share of the batch, which makes work-stealing imbalance
-/// (or a worker wedged on one pathological query) visible in the export.
-///
-/// # Errors
-///
-/// See [`run_batch_crossbeam`].
-pub fn run_batch_crossbeam_observed<A: Algorithm + Sync>(
-    db: &Database<'_>,
-    algorithm: &A,
-    queries: &[UotsQuery],
-    threads: usize,
-    obs: &BatchObserver,
-) -> Result<Vec<QueryResult>, CoreError> {
-    run_batch_crossbeam_inner(
-        db,
-        algorithm,
-        queries,
-        threads,
-        Some(obs),
-        &SearchContext::default(),
-    )
-}
-
-fn run_batch_crossbeam_inner<A: Algorithm + Sync>(
-    db: &Database<'_>,
-    algorithm: &A,
-    queries: &[UotsQuery],
-    threads: usize,
-    obs: Option<&BatchObserver>,
-    ctx: &SearchContext,
-) -> Result<Vec<QueryResult>, CoreError> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    let threads = threads.max(1).min(queries.len().max(1));
-    let cursor = AtomicUsize::new(0);
-    let mut slots: Vec<Option<Result<QueryResult, CoreError>>> = Vec::new();
-    slots.resize_with(queries.len(), || None);
-    let ctl = RunControl::unbounded();
-    if let Some(o) = obs {
-        o.on_admitted(queries.len());
-    }
-
-    // Collect per-thread (index, result) pairs and scatter afterwards —
-    // simpler than sharing &mut slots across threads.
-    let gathered: Vec<Vec<(usize, Result<QueryResult, CoreError>)>> =
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let cursor = &cursor;
-                    let ctl = &ctl;
-                    let per_worker = obs.map(|o| {
-                        let label = w.to_string();
-                        o.registry().counter_with(
-                            "uots_worker_queries_total",
-                            "Queries executed by each batch worker",
-                            &[("worker", label.as_str())],
-                        )
-                    });
-                    scope.spawn(move |_| {
-                        let mut mine = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= queries.len() {
-                                break;
-                            }
-                            if let Some(c) = &per_worker {
-                                c.inc();
-                            }
-                            mine.push((i, run_observed(db, algorithm, &queries[i], ctl, obs, ctx)));
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|payload| {
-                        // run_isolated catches query panics, so reaching
-                        // this means the worker loop itself died; report
-                        // it rather than poisoning the whole process.
-                        vec![(
-                            usize::MAX,
-                            Err(CoreError::QueryPanicked(panic_message(payload))),
-                        )]
-                    })
-                })
-                .collect()
-        })
-        .map_err(|payload| CoreError::QueryPanicked(panic_message(payload)))?;
-
-    let mut stray: Option<CoreError> = None;
-    for per_thread in gathered {
-        for (i, r) in per_thread {
-            if i == usize::MAX {
-                stray = Some(r.expect_err("sentinel slot always carries an error"));
-            } else {
-                slots[i] = Some(r);
-            }
-        }
-    }
-    if let Some(err) = stray {
-        return Err(err);
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every query index was dispatched"))
-        .collect()
-}
-
-/// The snapshot a batch was pinned to, alongside its per-query outcomes.
-pub type EpochBatch = (Arc<EpochSnapshot>, Vec<Result<QueryResult, CoreError>>);
-
-/// Runs a batch against a live [`EpochManager`]: resolves **one** snapshot
-/// up front and answers every query of the batch against it, so the whole
-/// batch observes a single consistent epoch even while the ingest path
-/// keeps publishing. The pinned snapshot is returned alongside the results
-/// so callers can attribute answers to an epoch (and re-run against it for
-/// verification). Concurrent publishes never invalidate the batch — the
-/// `Arc` keeps the snapshot alive until the last result is collected.
-///
-/// Pass a [`SearchContext`] with a shared cache to keep distance prefixes
-/// warm *across* epochs: the cache is keyed on the road network, which the
-/// manager never swaps out (see [`crate::epoch`]).
-///
-/// # Errors
-///
-/// See [`run_batch_with`].
-pub fn run_batch_epoch<A: Algorithm + Sync>(
-    manager: &EpochManager,
-    algorithm: &A,
-    queries: &[UotsQuery],
-    opts: &BatchOptions,
-    token: &CancellationToken,
-    ctx: &SearchContext,
-) -> Result<EpochBatch, CoreError> {
-    let snapshot = manager.snapshot();
-    let results = {
-        let db = snapshot.database();
-        run_batch_inner(&db, algorithm, queries, opts, token, None, ctx)?
-    };
-    Ok((snapshot, results))
-}
-
-/// The crossbeam counterpart of [`run_batch_epoch`]: one snapshot pinned
-/// for the whole batch, executed on scoped threads with a shared work
-/// cursor.
-///
-/// # Errors
-///
-/// See [`run_batch_crossbeam`].
-pub fn run_batch_crossbeam_epoch<A: Algorithm + Sync>(
-    manager: &EpochManager,
-    algorithm: &A,
-    queries: &[UotsQuery],
-    threads: usize,
-    ctx: &SearchContext,
-) -> Result<(Arc<EpochSnapshot>, Vec<QueryResult>), CoreError> {
-    let snapshot = manager.snapshot();
-    let results = {
-        let db = snapshot.database();
-        run_batch_crossbeam_inner(&db, algorithm, queries, threads, None, ctx)?
-    };
-    Ok((snapshot, results))
-}
-
-/// Convenience: runs a batch and aggregates the per-query metrics.
-///
-/// # Errors
-///
-/// Same as [`run_batch`].
-pub fn run_batch_aggregated<A: Algorithm + Sync>(
-    db: &Database<'_>,
-    algorithm: &A,
-    queries: &[UotsQuery],
-    threads: usize,
-) -> Result<(Vec<QueryResult>, SearchMetrics), CoreError> {
-    let results = run_batch(db, algorithm, queries, threads)?;
-    let agg = SearchMetrics::aggregate(results.iter().map(|r| &r.metrics));
-    Ok((results, agg))
 }
 
 #[cfg(test)]
@@ -674,6 +417,7 @@ mod tests {
     use super::*;
     use crate::algorithms::Expansion;
     use crate::testing::{FaultyAlgorithm, SlowAlgorithm};
+    use crate::SearchMetrics;
     use uots_datagen::{workload, Dataset, DatasetConfig};
 
     fn setup() -> (Dataset, Vec<UotsQuery>) {
@@ -711,39 +455,12 @@ mod tests {
     }
 
     #[test]
-    fn crossbeam_executor_matches_rayon() {
-        let (ds, queries) = setup();
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks)
-            .with_keyword_index(&ds.keyword_index);
-        let algo = Expansion::default();
-        let rayon_results = run_batch(&db, &algo, &queries, 3).unwrap();
-        let crossbeam_results = run_batch_crossbeam(&db, &algo, &queries, 3).unwrap();
-        assert_eq!(rayon_results.len(), crossbeam_results.len());
-        for (a, b) in rayon_results.iter().zip(crossbeam_results.iter()) {
-            assert_eq!(a.ids(), b.ids());
-            assert_eq!(
-                a.metrics.visited_trajectories,
-                b.metrics.visited_trajectories
-            );
-        }
-    }
-
-    #[test]
-    fn crossbeam_executor_handles_more_threads_than_queries() {
-        let (ds, queries) = setup();
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks);
-        let algo = Expansion::default();
-        let one = &queries[..1];
-        let r = run_batch_crossbeam(&db, &algo, one, 16).unwrap();
-        assert_eq!(r.len(), 1);
-    }
-
-    #[test]
     fn aggregation_sums_per_query_metrics() {
         let (ds, queries) = setup();
         let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks);
         let algo = Expansion::default();
-        let (results, agg) = run_batch_aggregated(&db, &algo, &queries, 2).unwrap();
+        let results = run_batch(&db, &algo, &queries, 2).unwrap();
+        let agg = SearchMetrics::aggregate(results.iter().map(|r| &r.metrics));
         assert_eq!(agg.queries, queries.len());
         let manual: usize = results.iter().map(|r| r.metrics.visited_trajectories).sum();
         assert_eq!(agg.visited_trajectories, manual);
@@ -767,12 +484,13 @@ mod tests {
         let (ds, queries) = setup();
         let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks);
         let algo = FaultyAlgorithm::new(Expansion::default(), 0, "injected fault");
-        let out = run_batch_with(
+        let out = run_batch_ctx(
             &db,
             &algo,
             &queries,
             &BatchOptions::partial(1),
             &CancellationToken::new(),
+            &SearchContext::default(),
         )
         .unwrap();
         assert_eq!(out.len(), queries.len());
@@ -788,26 +506,16 @@ mod tests {
         let (ds, queries) = setup();
         let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks);
         let algo = FaultyAlgorithm::new(Expansion::default(), 0, "injected fault");
-        let err = run_batch_with(
+        let err = run_batch_ctx(
             &db,
             &algo,
             &queries,
             &BatchOptions::fail_fast(1),
             &CancellationToken::new(),
+            &SearchContext::default(),
         )
         .unwrap_err();
         assert!(matches!(err, CoreError::QueryPanicked(ref m) if m.contains("injected")));
-    }
-
-    #[test]
-    fn crossbeam_executor_survives_a_panicking_query() {
-        let (ds, queries) = setup();
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks);
-        let algo = FaultyAlgorithm::new(Expansion::default(), 2, "boom");
-        let err = run_batch_crossbeam(&db, &algo, &queries, 3).unwrap_err();
-        assert!(matches!(err, CoreError::QueryPanicked(ref m) if m.contains("boom")));
-        // every query was still dispatched despite the panic
-        assert_eq!(algo.calls(), queries.len());
     }
 
     #[test]
@@ -818,12 +526,13 @@ mod tests {
             max_batch: Some(4),
             ..BatchOptions::partial(2)
         };
-        let err = run_batch_with(
+        let err = run_batch_ctx(
             &db,
             &Expansion::default(),
             &queries,
             &opts,
             &CancellationToken::new(),
+            &SearchContext::default(),
         )
         .unwrap_err();
         assert!(matches!(
@@ -844,7 +553,15 @@ mod tests {
             deadline: Some(Duration::from_millis(20)),
             ..BatchOptions::partial(2)
         };
-        let out = run_batch_with(&db, &algo, &queries, &opts, &CancellationToken::new()).unwrap();
+        let out = run_batch_ctx(
+            &db,
+            &algo,
+            &queries,
+            &opts,
+            &CancellationToken::new(),
+            &SearchContext::default(),
+        )
+        .unwrap();
         assert_eq!(out.len(), queries.len());
         for r in &out {
             let r = r.as_ref().unwrap();
@@ -859,13 +576,14 @@ mod tests {
         let registry = uots_obs::MetricsRegistry::default();
         let obs = BatchObserver::new(&registry);
         let algo = FaultyAlgorithm::new(Expansion::default(), 0, "injected fault");
-        let out = run_batch_observed(
+        let out = run_batch_observed_ctx(
             &db,
             &algo,
             &queries,
             &BatchOptions::partial(1),
             &CancellationToken::new(),
             &obs,
+            &SearchContext::default(),
         )
         .unwrap();
         assert_eq!(out.len(), queries.len());
@@ -889,13 +607,14 @@ mod tests {
             .with_keyword_index(&ds.keyword_index);
         let registry = uots_obs::MetricsRegistry::default();
         let obs = BatchObserver::new(&registry);
-        let out = run_batch_observed(
+        let out = run_batch_observed_ctx(
             &db,
             &Expansion::default(),
             &queries,
             &BatchOptions::partial(3),
             &CancellationToken::new(),
             &obs,
+            &SearchContext::default(),
         )
         .unwrap();
         // every per-query result carries its phase breakdown through the
@@ -927,13 +646,14 @@ mod tests {
         let registry = uots_obs::MetricsRegistry::default();
         let obs = BatchObserver::new(&registry);
         let algo = FaultyAlgorithm::new(Expansion::default(), 0, "boom");
-        let err = run_batch_observed(
+        let err = run_batch_observed_ctx(
             &db,
             &algo,
             &queries,
             &BatchOptions::fail_fast(1),
             &CancellationToken::new(),
             &obs,
+            &SearchContext::default(),
         )
         .unwrap_err();
         assert!(matches!(err, CoreError::QueryPanicked(_)));
@@ -950,13 +670,14 @@ mod tests {
             max_batch: Some(2),
             ..BatchOptions::partial(1)
         };
-        let err = run_batch_observed(
+        let err = run_batch_observed_ctx(
             &db,
             &Expansion::default(),
             &queries,
             &opts,
             &CancellationToken::new(),
             &obs,
+            &SearchContext::default(),
         )
         .unwrap_err();
         assert!(matches!(err, CoreError::Overloaded { .. }));
@@ -983,9 +704,16 @@ mod tests {
         ] {
             let registry = uots_obs::MetricsRegistry::default();
             let obs = BatchObserver::new(&registry);
-            let out =
-                run_batch_observed(&db, &algo, &queries, &opts, &CancellationToken::new(), &obs)
-                    .unwrap();
+            let out = run_batch_observed_ctx(
+                &db,
+                &algo,
+                &queries,
+                &opts,
+                &CancellationToken::new(),
+                &obs,
+                &SearchContext::default(),
+            )
+            .unwrap();
             let results: Vec<QueryResult> = out.into_iter().map(Result::unwrap).collect();
             let agg = SearchMetrics::aggregate(results.iter().map(|r| &r.metrics));
             // a deadline is an interruption, not an error: FailFast has
@@ -999,30 +727,6 @@ mod tests {
                 "{opts:?}"
             );
         }
-    }
-
-    #[test]
-    fn crossbeam_observed_attributes_work_to_workers() {
-        let (ds, queries) = setup();
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks);
-        let registry = uots_obs::MetricsRegistry::default();
-        let obs = BatchObserver::new(&registry);
-        let threads = 3;
-        let results =
-            run_batch_crossbeam_observed(&db, &Expansion::default(), &queries, threads, &obs)
-                .unwrap();
-        assert_eq!(results.len(), queries.len());
-        let snap = registry.snapshot();
-        let per_worker: u64 = (0..threads)
-            .filter_map(|w| {
-                snap.counter(
-                    "uots_worker_queries_total",
-                    &[("worker", w.to_string().as_str())],
-                )
-            })
-            .sum();
-        assert_eq!(per_worker, queries.len() as u64);
-        assert_eq!(snap.gauge("uots_batch_pending_queries", &[]), Some(0));
     }
 
     #[test]
@@ -1059,77 +763,60 @@ mod tests {
     }
 
     #[test]
-    fn crossbeam_shared_cache_matches_uncached() {
-        use crate::distcache::DistanceCache;
-        use std::sync::Arc;
-        let (ds, queries) = setup();
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks)
-            .with_keyword_index(&ds.keyword_index);
-        let algo = Expansion::default();
-        let baseline = run_batch_crossbeam(&db, &algo, &queries, 3).unwrap();
-        let cache = Arc::new(DistanceCache::new(1 << 16));
-        let ctx = SearchContext::with_cache(cache);
-        let cached = run_batch_crossbeam_ctx(&db, &algo, &queries, 3, &ctx).unwrap();
-        for (a, b) in baseline.iter().zip(cached.iter()) {
-            assert_eq!(a.ids(), b.ids());
-        }
-    }
-
-    #[test]
-    fn epoch_batches_pin_one_snapshot_across_both_executors() {
-        let (ds, queries) = setup();
-        let mgr = EpochManager::new(
-            Arc::new(ds.network.clone()),
-            ds.store.clone(),
-            ds.vocab.len(),
-        );
-        let algo = Expansion::default();
-        let ctx = SearchContext::default();
-        let (snap0, out0) = run_batch_epoch(
-            &mgr,
-            &algo,
-            &queries,
-            &BatchOptions::fail_fast(3),
-            &CancellationToken::new(),
-            &ctx,
-        )
-        .unwrap();
-        assert_eq!(snap0.epoch(), 0);
-
-        // churn: retire the top answer of the first query, publish
-        let victim = out0[0].as_ref().unwrap().ids()[0];
-        mgr.retire(victim);
-        mgr.publish();
-        let (snap1, out1) = run_batch_crossbeam_epoch(&mgr, &algo, &queries, 3, &ctx).unwrap();
-        assert_eq!(snap1.epoch(), 1);
-        assert!(!out1[0].ids().contains(&victim), "retired id served");
-
-        // the pinned pre-churn snapshot still answers exactly as before —
-        // publishes never invalidate a batch's epoch
-        let replay = run_batch(&snap0.database(), &algo, &queries, 2).unwrap();
-        for (a, b) in out0.iter().zip(replay.iter()) {
-            assert_eq!(a.as_ref().unwrap().ids(), b.ids());
-        }
-    }
-
-    #[test]
     fn shared_token_cancels_the_whole_batch() {
         let (ds, queries) = setup();
         let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks);
         let token = CancellationToken::new();
         token.cancel();
-        let out = run_batch_with(
+        let out = run_batch_ctx(
             &db,
             &Expansion::default(),
             &queries,
             &BatchOptions::partial(2),
             &token,
+            &SearchContext::default(),
         )
         .unwrap();
         for r in &out {
             let r = r.as_ref().unwrap();
             assert!(!r.completeness.is_exact());
             assert!(r.matches.is_empty());
+        }
+    }
+    #[test]
+    fn a_panicking_shard_is_isolated_to_its_slot_of_a_cluster_batch() {
+        use crate::shard::{Partitioner, ShardedCluster};
+        let (ds, queries) = setup();
+        let cluster = ShardedCluster::new(
+            std::sync::Arc::new(ds.network.clone()),
+            &ds.store,
+            ds.vocab.len(),
+            2,
+            Partitioner::Hash,
+        );
+        let cut = cluster.snapshot();
+        // threads = 1 runs the queries in order: call 0 is one of query
+        // 0's two shard runs
+        let algo = FaultyAlgorithm::new(Expansion::default(), 0, "injected shard fault");
+        let ctx = SearchContext::default();
+        let out = execute(
+            &queries,
+            &BatchOptions::partial(1),
+            &CancellationToken::new(),
+            None,
+            algo.name(),
+            |q, ctl, _| cut.search_ctx(&algo, q, ctl, &ctx).map(|a| a.result),
+        )
+        .unwrap();
+        assert_eq!(out.len(), queries.len());
+        assert!(
+            matches!(out[0], Err(CoreError::QueryPanicked(ref m)) if m.contains("injected")),
+            "{:?}",
+            out[0]
+        );
+        for (i, r) in out.iter().enumerate().skip(1) {
+            let want = cut.search(&Expansion::default(), &queries[i]).unwrap();
+            assert_eq!(r.as_ref().unwrap().ids(), want.result.ids(), "slot {i}");
         }
     }
 }

@@ -25,8 +25,8 @@
 //! upkeep that never prunes.
 //!
 //! [`Planner`] implements [`Algorithm`], so it drops into every existing
-//! execution funnel ([`crate::parallel::run_batch_epoch`] and friends)
-//! unchanged; `--force-algorithm` style overrides are carried by
+//! execution path ([`crate::parallel::run_batch_ctx`], the per-shard runs
+//! of [`crate::ShardedCluster`] cuts) unchanged; `--force-algorithm` style overrides are carried by
 //! [`Planner::forced`]. Result preservation is structural (any choice
 //! returns the same ranking) and additionally pinned bit-exactly by
 //! `tests/planner_differential.rs`.

@@ -59,7 +59,8 @@
 //! the *answer* — matches and completeness — is identical, so results are
 //! bit-identical to the unsharded engine for exact runs at any shard
 //! count, and a 1-shard cluster is bit-identical always (interrupted runs
-//! included, via the single-shard passthrough). Only the effort
+//! included): it runs its one shard inline on the caller's thread, under
+//! the caller's own run control, and merges nothing. Only the effort
 //! diagnostics ([`ShardedAnswer::shards_cut`] /
 //! [`ShardedAnswer::shards_cancelled`], per-shard metrics) depend on
 //! timing.
@@ -68,14 +69,16 @@ use crate::algorithms::Algorithm;
 use crate::budget::{CancellationToken, Completeness, RunControl};
 use crate::distcache::SearchContext;
 use crate::epoch::{EpochManager, EpochSnapshot, Mutation};
+use crate::parallel::panic_message;
 use crate::result::QueryResult;
 use crate::topk::TopK;
 use crate::{CoreError, SearchMetrics, UotsQuery};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 use uots_network::{Point, RoadNetwork};
-use uots_obs::{Counter, Gauge, MetricsRegistry};
+use uots_obs::{Counter, Gauge, MetricsRegistry, Recorder};
 use uots_text::TextSimilarity;
 use uots_trajectory::{Trajectory, TrajectoryId, TrajectoryStore};
 
@@ -222,7 +225,7 @@ fn lock_ok<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// `N` independent epoch-managed shards behind one ingest/search facade.
 /// See the [module docs](self) for the partitioning and gather contracts.
 pub struct ShardedCluster {
-    shards: Vec<EpochManager>,
+    shards: Vec<Arc<EpochManager>>,
     partitioner: Partitioner,
     network: Arc<RoadNetwork>,
     routing: Mutex<Routing>,
@@ -268,15 +271,16 @@ impl ShardedCluster {
         )
     }
 
-    /// Assembles a cluster from per-shard recovered managers (hash
-    /// partitioning only — the durable facade's constructor). Shard `s`'s
-    /// manager must hold exactly the trajectories whose global id is
-    /// `≡ s (mod N)`, at local id `g / N`.
+    /// Assembles a cluster over existing managers, shared with the caller
+    /// (hash partitioning only). Shard `s`'s manager must hold exactly the
+    /// trajectories whose global id is `≡ s (mod N)`, at local id `g / N`;
+    /// one manager makes the 1-shard cluster that serves an unsharded
+    /// store. The cluster then assumes it is the managers' only writer.
     ///
     /// # Panics
     ///
     /// Panics on an empty shard vector or mismatched network `Arc`s.
-    pub fn from_shards(shards: Vec<EpochManager>, metrics: Option<&MetricsRegistry>) -> Self {
+    pub fn from_shards(shards: Vec<Arc<EpochManager>>, metrics: Option<&MetricsRegistry>) -> Self {
         assert!(!shards.is_empty(), "a cluster needs at least one shard");
         let network = Arc::clone(shards[0].network());
         for s in &shards {
@@ -285,10 +289,7 @@ impl ShardedCluster {
                 "every shard must serve the same road network"
             );
         }
-        let next_local = shards
-            .iter()
-            .map(|s| s.snapshot().store().len() as u32)
-            .collect();
+        let next_local = shards.iter().map(|s| s.issued() as u32).collect();
         let n = shards.len();
         ShardedCluster {
             shards,
@@ -342,9 +343,9 @@ impl ShardedCluster {
             tb.published = tb.locals.iter().map(|l| Arc::new(l.clone())).collect();
         }
         let next_local = per_shard.iter().map(|s| s.len() as u32).collect();
-        let shards: Vec<EpochManager> = per_shard
+        let shards = per_shard
             .into_iter()
-            .map(|s| EpochManager::new(Arc::clone(&network), s, vocab_len))
+            .map(|s| Arc::new(EpochManager::new(Arc::clone(&network), s, vocab_len)))
             .collect();
         let cluster = ShardedCluster {
             shards,
@@ -685,7 +686,9 @@ impl ClusterSnapshot {
     /// outcomes deterministically (see the [module docs](self)).
     ///
     /// `ctl`'s deadline is forwarded to every shard; cancelling `ctl`'s
-    /// token cancels all shards.
+    /// token cancels all shards. A shard that panics answers
+    /// [`CoreError::QueryPanicked`]. A 1-shard cut has nothing to
+    /// coordinate: it runs on the caller's thread, directly under `ctl`.
     ///
     /// # Errors
     ///
@@ -704,6 +707,18 @@ impl ClusterSnapshot {
             .iter()
             .map(|s| shard_upper_bound(s, query))
             .collect();
+        if n == 1 {
+            let result = self.run_shard(0, algorithm, query, ctl, ctx)?;
+            if let Some(m) = &self.metrics {
+                m.queries.inc();
+            }
+            return Ok(ShardedAnswer {
+                result,
+                shards_cut: 0,
+                shards_cancelled: 0,
+                shard_bounds: bounds,
+            });
+        }
         let tokens: Vec<CancellationToken> = (0..n).map(|_| CancellationToken::new()).collect();
         if ctl.is_cancelled() {
             for t in &tokens {
@@ -728,8 +743,6 @@ impl ClusterSnapshot {
         spawn_order.sort_by(|&a, &b| bounds[b].total_cmp(&bounds[a]).then(a.cmp(&b)));
         std::thread::scope(|scope| {
             for s in spawn_order {
-                let snap = &self.shards[s];
-                let map = &self.maps[s];
                 let token = tokens[s].clone();
                 let (bounds, tokens, cancelled) = (&bounds, &tokens, &cancelled);
                 let (running, outcomes, done) = (&running, &outcomes, &done);
@@ -738,16 +751,12 @@ impl ClusterSnapshot {
                     if let Some(d) = ctl.deadline() {
                         shard_ctl = shard_ctl.with_deadline(d);
                     }
-                    let db = snap.database();
-                    let mut rec = uots_obs::Recorder::disabled();
-                    let r = algorithm
-                        .run_ctx(&db, query, &shard_ctl, &mut rec, ctx)
-                        .map(|mut qr| {
-                            for m in &mut qr.matches {
-                                m.id = map.global_of(m.id);
-                            }
-                            qr
-                        });
+                    let r = catch_unwind(AssertUnwindSafe(|| {
+                        self.run_shard(s, algorithm, query, &shard_ctl, ctx)
+                    }))
+                    .unwrap_or_else(|payload| {
+                        Err(CoreError::QueryPanicked(panic_message(payload)))
+                    });
                     if let Ok(qr) = &r {
                         if qr.completeness.is_exact() {
                             // Exact completion: fold into the running
@@ -806,24 +815,38 @@ impl ClusterSnapshot {
             shard_bounds: bounds,
         })
     }
+
+    /// Runs `algorithm` on shard `s`'s snapshot and maps the matches to
+    /// global ids.
+    fn run_shard<A: Algorithm>(
+        &self,
+        s: usize,
+        algorithm: &A,
+        query: &UotsQuery,
+        ctl: &RunControl,
+        ctx: &SearchContext,
+    ) -> Result<QueryResult, CoreError> {
+        let db = self.shards[s].database();
+        let mut qr = algorithm.run_ctx(&db, query, ctl, &mut Recorder::disabled(), ctx)?;
+        for m in &mut qr.matches {
+            m.id = self.maps[s].global_of(m.id);
+        }
+        Ok(qr)
+    }
 }
 
 /// The deterministic gather. Merges exact shards first (fixing the global
 /// threshold `T`), then classifies each best-effort shard: **cut** when
 /// its upper bound sits strictly below `T` (provably irrelevant — the
 /// certificate does not widen), merged with a soundly recomputed global
-/// gap otherwise. A single-shard cluster passes its result through
-/// untouched (bit-identity with the unsharded engine, interrupted runs
-/// included).
+/// gap otherwise. Only multi-shard cuts merge: a 1-shard cut answers with
+/// its shard's result as is.
 fn merge_shard_results(
     k: usize,
     bounds: &[f64],
-    mut results: Vec<QueryResult>,
+    results: Vec<QueryResult>,
 ) -> (QueryResult, usize) {
     debug_assert_eq!(bounds.len(), results.len());
-    if results.len() == 1 {
-        return (results.pop().expect("one result"), 0);
-    }
     let mut metrics = SearchMetrics::default();
     for r in &results {
         metrics.merge(&r.metrics);
@@ -1068,15 +1091,6 @@ mod tests {
         if let Some(best) = full.result.best() {
             assert!(best.similarity <= ub + 1e-12);
         }
-    }
-
-    #[test]
-    fn merge_single_shard_is_bitwise_passthrough() {
-        let r = best_effort(vec![m(3, 0.625), m(1, 0.5)], 0.037);
-        let (merged, cut) = merge_shard_results(2, &[0.9], vec![r.clone()]);
-        assert_eq!(cut, 0);
-        assert_eq!(merged.completeness, r.completeness);
-        assert_eq!(merged.matches, r.matches);
     }
 
     /// Satellite: tie-breaking at the k boundary with duplicated scores

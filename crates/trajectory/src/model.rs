@@ -8,6 +8,7 @@
 
 use crate::{KeywordBlocks, TrajectoryError};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use uots_index::{KeywordInvertedIndex, TimestampIndex, VertexInvertedIndex, DAY_SECONDS};
 use uots_network::{NodeId, RoadNetwork};
 use uots_text::KeywordSet;
@@ -145,7 +146,10 @@ impl Trajectory {
 /// construction.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TrajectoryStore {
-    trajectories: Vec<Trajectory>,
+    /// Shared, so a clone (every epoch publish makes one) copies pointers,
+    /// not trajectories: the writer's store and every snapshot of it hold
+    /// one copy of each trajectory.
+    trajectories: Vec<Arc<Trajectory>>,
 }
 
 impl TrajectoryStore {
@@ -164,7 +168,7 @@ impl TrajectoryStore {
     /// Appends a trajectory, returning its id.
     pub fn push(&mut self, t: Trajectory) -> TrajectoryId {
         let id = TrajectoryId(self.trajectories.len() as u32);
-        self.trajectories.push(t);
+        self.trajectories.push(Arc::new(t));
         id
     }
 
@@ -195,6 +199,9 @@ impl TrajectoryStore {
     /// beats cloning at million-trajectory scale).
     pub fn into_trajectories(self) -> Vec<Trajectory> {
         self.trajectories
+            .into_iter()
+            .map(|t| Arc::try_unwrap(t).unwrap_or_else(|shared| (*shared).clone()))
+            .collect()
     }
 
     /// Iterator over `(id, trajectory)` pairs in id order.
@@ -202,7 +209,7 @@ impl TrajectoryStore {
         self.trajectories
             .iter()
             .enumerate()
-            .map(|(i, t)| (TrajectoryId(i as u32), t))
+            .map(|(i, t)| (TrajectoryId(i as u32), &**t))
     }
 
     /// Iterator over all ids.
@@ -235,10 +242,7 @@ impl TrajectoryStore {
     /// too and simply never consulted). See [`KeywordBlocks::from_sets`]
     /// for how `vocab_len` sets the width.
     pub fn build_keyword_blocks(&self, vocab_len: usize) -> KeywordBlocks {
-        KeywordBlocks::from_sets(
-            self.trajectories.iter().map(Trajectory::keywords),
-            vocab_len,
-        )
+        KeywordBlocks::from_sets(self.trajectories.iter().map(|t| t.keywords()), vocab_len)
     }
 
     /// Builds the sample-timestamp index for the temporal extension.
@@ -389,6 +393,17 @@ mod tests {
         assert_eq!(idx.values_at(NodeId(1)), &[id]);
         assert_eq!(idx.values_at(NodeId(2)), &[] as &[TrajectoryId]);
         assert_eq!(idx.num_postings(), 2);
+    }
+
+    #[test]
+    fn a_cloned_store_shares_its_trajectories() {
+        let mut store = TrajectoryStore::new();
+        let id = store.push(Trajectory::new(vec![sample(1, 0.0)], kws(&[2])).unwrap());
+        let copy = store.clone();
+        store.push(Trajectory::new(vec![sample(3, 5.0)], kws(&[])).unwrap());
+        assert!(std::ptr::eq(copy.get(id), store.get(id)));
+        assert_eq!((copy.len(), store.len()), (1, 2));
+        assert_eq!(copy.into_trajectories()[0], *store.get(id));
     }
 
     #[test]

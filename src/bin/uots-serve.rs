@@ -13,19 +13,27 @@
 //! Loads a dataset (the binary format of `uots generate`), publishes it
 //! through an epoch manager, and serves `POST /search`, `/topk`, `/join`
 //! and `/ingest` plus the full observability surface (`GET /metrics`,
-//! `/status`, `/journal`, `/traces`) on one port. With `--wal-dir`,
-//! `/ingest` goes through the durable WAL-backed path (created fresh, or
-//! resumed when the directory already holds segments).
+//! `/status`, `/journal`, `/traces`) on one port. Every store is a
+//! cluster of `--shards N` shards (default 1).
 //!
 //! With `--shards N` (N ≥ 2) the store is partitioned across `N` shards
 //! and every endpoint routes through the scatter-gather coordinator
 //! (`uots_core::shard`): searches fan out with global-threshold
 //! push-back, `/ingest` routes each mutation to its owning shard, and
-//! responses gain per-shard `epochs`. Combined with `--wal-dir`, each
-//! shard owns its own WAL + checkpoint lineage under `DIR/shard-<s>/`
-//! and recovery parallelizes across shards (the directory layout decides
-//! fresh-vs-resume). `--partitioner grid:CELLS` selects the spatial-grid
-//! partitioner (volatile backend only; the durable facade is hash-only).
+//! responses gain per-shard `epochs`. `--partitioner grid:CELLS` selects
+//! the spatial-grid partitioner (volatile backend only; the durable
+//! facade is hash-only).
+//!
+//! With `--wal-dir DIR`, `/ingest` goes through the durable WAL-backed
+//! path. Shard `s` owns its own WAL + checkpoint lineage under
+//! `DIR/shard-<s>/`, seeded with a checkpoint of its partition, so an
+//! unsharded store lives in `DIR/shard-0/`. The directory decides
+//! fresh-vs-resume: a first start creates the shards from `--data`; a
+//! restart on the same DIR recovers every shard in parallel (checkpoint
+//! plus WAL tail, no dataset needed) and serves every acked write under
+//! its acked id. A DIR holding WAL segments at its root but no
+//! `shard-0/` is refused, never rebuilt from the dataset.
+//! `uots status --wal-dir DIR/shard-<s>` inspects one shard.
 //!
 //! The process runs until `POST /admin/shutdown` (or SIGKILL); shutdown
 //! drains the worker threads and exits 0 — CI asserts this.
@@ -34,14 +42,15 @@
 //! (`uots_core::planner`); `--force-algorithm` pins every query to one
 //! algorithm, the escape hatch when the planner misjudges a workload.
 
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
 use uots::cluster::{shard_dir, ShardedDurable};
 use uots::core::planner::AlgorithmKind;
 use uots::core::shard::{Partitioner, ShardedCluster};
-use uots::datagen::persist;
-use uots::durable::DurableIngest;
+use uots::core::wal;
+use uots::datagen::{persist, Dataset};
 use uots::obs::{EventJournal, ObsState, TailSampler, DEFAULT_EXEMPLAR_CAPACITY};
 use uots::serve::{QueryService, ServiceConfig};
 use uots::{EpochManager, ExecutionBudget, FsyncPolicy, MetricsRegistry, WalConfig};
@@ -157,48 +166,12 @@ fn run() -> Result<(), String> {
                 fsync,
                 ..WalConfig::default()
             };
-            if n >= 2 {
-                if partitioner != Partitioner::Hash {
-                    return Err("--partitioner: the durable backend is hash-only".to_string());
-                }
-                // The directory layout decides fresh-vs-resume, exactly
-                // like the unsharded durable path.
-                let resumes = shard_dir(std::path::Path::new(dir), 0).exists();
-                let cluster = if resumes {
-                    let (cluster, reports) =
-                        ShardedDurable::open(dir, n, config, None, Some(&registry))
-                            .map_err(|e| format!("recovering {n} shards in {dir}: {e}"))?;
-                    let slowest = reports.iter().map(|r| r.micros).max().unwrap_or(0);
-                    println!("uots-serve: recovered {n} shards in {slowest} us (max over shards)");
-                    cluster
-                } else {
-                    ShardedDurable::create(
-                        Arc::new(ds.network.clone()),
-                        &ds.store,
-                        &ds.vocab,
-                        dir,
-                        n,
-                        config,
-                        None,
-                        Some(&registry),
-                    )
-                    .map_err(|e| format!("creating {n} shard wals in {dir}: {e}"))?
-                };
-                QueryService::start_sharded_durable(listen, cluster, registry, obs, cfg)
-            } else {
-                let mut durable = DurableIngest::create(
-                    Arc::new(ds.network.clone()),
-                    ds.store.clone(),
-                    ds.vocab.clone(),
-                    dir,
-                    config,
-                    None,
-                    Some(&registry),
-                )
-                .map_err(|e| format!("opening wal in {dir}: {e}"))?;
-                durable.set_journal(journal.clone());
-                QueryService::start_durable(listen, durable, registry, obs, cfg)
+            if n >= 2 && partitioner != Partitioner::Hash {
+                return Err("--partitioner: the durable backend is hash-only".to_string());
             }
+            let mut cluster = open_durable(Path::new(dir), n, &ds, config, &registry)?;
+            cluster.set_journal(&journal);
+            QueryService::start_sharded_durable(listen, cluster, registry, obs, cfg)
         }
         (None, n) if n >= 2 => {
             let cluster = ShardedCluster::with_metrics(
@@ -239,6 +212,46 @@ fn run() -> Result<(), String> {
     service.shutdown();
     println!("uots-serve: shutdown complete");
     Ok(())
+}
+
+/// The durable store under `dir`: recovered when `dir/shard-0/` exists,
+/// created from the dataset when `dir` holds no WAL yet. WAL segments at
+/// the root of `dir` (a layout without shard directories) are refused:
+/// rebuilding from the dataset would drop their acked writes.
+fn open_durable(
+    dir: &Path,
+    shards: usize,
+    ds: &Dataset,
+    config: WalConfig,
+    registry: &MetricsRegistry,
+) -> Result<ShardedDurable, String> {
+    let shown = dir.display();
+    if shard_dir(dir, 0).exists() {
+        let (cluster, reports) = ShardedDurable::open(dir, shards, config, None, Some(registry))
+            .map_err(|e| format!("recovering {shards} shard(s) in {shown}: {e}"))?;
+        let slowest = reports.iter().map(|r| r.micros).max().unwrap_or(0);
+        println!("uots-serve: recovered {shards} shard(s) in {slowest} us (max over shards)");
+        return Ok(cluster);
+    }
+    let segments = wal::list_segments(dir).map_err(|e| format!("reading {shown}: {e}"))?;
+    if !segments.is_empty() {
+        return Err(format!(
+            "--wal-dir {shown}: holds {} wal segment(s) but no shard-0/ \
+             (a layout without shard directories); refusing to rebuild from the dataset over it",
+            segments.len()
+        ));
+    }
+    ShardedDurable::create(
+        Arc::new(ds.network.clone()),
+        &ds.store,
+        &ds.vocab,
+        dir,
+        shards,
+        config,
+        None,
+        Some(registry),
+    )
+    .map_err(|e| format!("creating {shards} shard wal(s) in {shown}: {e}"))
 }
 
 fn main() {

@@ -40,7 +40,7 @@ use uots_core::shard::ClusterSnapshot;
 use uots_core::wal::{WalConfig, WalError};
 use uots_core::Mutation;
 use uots_network::RoadNetwork;
-use uots_obs::MetricsRegistry;
+use uots_obs::{EventJournal, MetricsRegistry};
 use uots_text::Vocabulary;
 use uots_trajectory::{Trajectory, TrajectoryId, TrajectoryStore};
 
@@ -165,6 +165,14 @@ impl ShardedDurable {
             .map(|i| i.snapshot().store().len() as u32)
             .collect();
         Ok((ShardedDurable { shards, next_local }, reports))
+    }
+
+    /// Attaches an operational [`EventJournal`] to every shard (see
+    /// [`DurableIngest::set_journal`]).
+    pub fn set_journal(&mut self, journal: &EventJournal) {
+        for s in &mut self.shards {
+            s.set_journal(journal.clone());
+        }
     }
 
     /// Number of shards.

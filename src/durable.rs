@@ -562,10 +562,30 @@ impl DurableIngest {
     /// ahead of the log. Storage errors are retried per the
     /// [`RetryPolicy`]; exhaustion degrades the ingest to read-only
     /// (subsequent calls fail fast with [`DurableError::ReadOnly`]).
+    ///
+    /// An insert on a vertex the network lacks, or a retire of an id the
+    /// store never issued (counting the batch's own earlier inserts), is
+    /// refused with [`DurableError::Inconsistent`] before anything is
+    /// logged: recovery would reject such a record.
     pub fn apply(
         &mut self,
         batch: Vec<Mutation>,
     ) -> Result<(u64, Vec<TrajectoryId>), DurableError> {
+        let network = self.manager.network();
+        let mut issued = self.manager.issued();
+        for m in &batch {
+            match m {
+                Mutation::Insert(t) => {
+                    if let Some(v) = t.nodes().find(|&v| !network.contains_node(v)) {
+                        return Err(DurableError::Inconsistent(format!(
+                            "insert references unknown vertex {v}"
+                        )));
+                    }
+                    issued += 1;
+                }
+                Mutation::Retire(id) => check_issued(*id, issued)?,
+            }
+        }
         let lsn = self.append_with_retry(&batch)?;
         let inserted = self.manager.apply(batch);
         self.batches_since_checkpoint += 1;
@@ -580,8 +600,10 @@ impl DurableIngest {
 
     /// Logs and applies a single retire; returns whether `id` was live
     /// (a retire of an already-retired id is logged but replays as the
-    /// same no-op it was).
+    /// same no-op it was). An id the store never issued is refused with
+    /// [`DurableError::Inconsistent`] before anything is logged.
     pub fn retire(&mut self, id: TrajectoryId) -> Result<bool, DurableError> {
+        check_issued(id, self.manager.issued())?;
         self.append_with_retry(&[Mutation::Retire(id)])?;
         self.batches_since_checkpoint += 1;
         Ok(self.manager.retire(id))
@@ -710,6 +732,17 @@ impl DurableIngest {
             );
         }
         Ok(())
+    }
+}
+
+/// Refuses a retire of `id` when the store has issued only `issued` ids.
+fn check_issued(id: TrajectoryId, issued: usize) -> Result<(), DurableError> {
+    if id.index() < issued {
+        Ok(())
+    } else {
+        Err(DurableError::Inconsistent(format!(
+            "retire of id {id} the store never issued"
+        )))
     }
 }
 
@@ -1253,6 +1286,48 @@ mod tests {
             recovered.manager.snapshot().store().len(),
             ds.store.len() + 3
         );
+    }
+
+    #[test]
+    fn unrecoverable_mutations_are_refused_before_the_wal() {
+        let ds = Dataset::build(&DatasetConfig::small(16, 5)).unwrap();
+        let dir = tmpdir("unissued");
+        let mut ingest = ingest_over(&ds, &dir, Arc::new(StdFs), None);
+        ingest.apply(vec![Mutation::Insert(donor(&ds, 0))]).unwrap();
+        let lsn = ingest.next_lsn();
+        let unissued = TrajectoryId(4_000_000_000);
+        let err = ingest.retire(unissued).unwrap_err();
+        assert!(matches!(err, DurableError::Inconsistent(_)), "{err}");
+        let err = ingest
+            .apply(vec![
+                Mutation::Insert(donor(&ds, 1)),
+                Mutation::Retire(unissued),
+            ])
+            .unwrap_err();
+        assert!(matches!(err, DurableError::Inconsistent(_)), "{err}");
+        let off_network = Trajectory::new(
+            vec![uots_trajectory::Sample {
+                node: uots_network::NodeId(4_000_000_000),
+                time: 0.0,
+            }],
+            uots_text::KeywordSet::empty(),
+        )
+        .unwrap();
+        let err = ingest.ingest(off_network).unwrap_err();
+        assert!(matches!(err, DurableError::Inconsistent(_)), "{err}");
+        assert_eq!(ingest.next_lsn(), lsn, "nothing reached the wal");
+        // a batch may retire an id its own earlier insert issued
+        let next = TrajectoryId(ds.store.len() as u32 + 1);
+        ingest
+            .apply(vec![
+                Mutation::Insert(donor(&ds, 2)),
+                Mutation::Retire(next),
+            ])
+            .unwrap();
+        drop(ingest);
+        let recovered = recover(&dir, Some(&ds), None).expect("the directory still recovers");
+        assert_eq!(recovered.report.replayed_batches, 2);
+        assert!(!recovered.manager.snapshot().live().is_live(next));
     }
 
     #[test]

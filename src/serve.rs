@@ -25,13 +25,25 @@
 //! consistency) and malformed requests answer `400` with the engine's
 //! own error text.
 //!
-//! ## Epoch pinning
+//! ## One store, pinned per request
 //!
-//! Every search batch runs through [`parallel::run_batch_epoch`]: one
-//! snapshot is resolved up front and the whole batch answers against it,
-//! so results are attributable to a single `epoch` (returned in the
-//! response) even while `/ingest` keeps publishing. Concurrent publishes
-//! never invalidate an in-flight batch.
+//! The service answers from one [`ShardedCluster`]-shaped store: volatile
+//! ([`QueryService::start`], [`QueryService::start_sharded`]) or durable
+//! ([`QueryService::start_sharded_durable`]). An unsharded store is a
+//! 1-shard cluster; its cut runs inline and is bit-identical to the
+//! engine on the shard's snapshot. Writers (`/ingest`) serialize on one
+//! mutex and, after each publish, replace the published
+//! [`ClusterSnapshot`] while still holding it. Every other request pins
+//! that cut (one `RwLock` read and an `Arc` clone, never the writer's
+//! mutex) and answers against it, so results are attributable to a
+//! single `epoch` even while `/ingest` keeps publishing.
+//!
+//! Every `/search` batch runs through the one batch executor,
+//! [`parallel::execute`], with a scatter-gather over the pinned cut as
+//! its per-query runner: admission, panic isolation and
+//! [`ServiceConfig::batch_threads`] apply at every shard count. Responses
+//! from cuts of 2 or more shards also carry the per-shard `epochs`, the
+//! coordinator's `shards_cut` and per-shard plans.
 //!
 //! ## Overload: degrade, then shed — never hang
 //!
@@ -58,26 +70,27 @@
 //! or the request asked for one (`"algorithm": "expansion"`; the
 //! operator's force wins). The response's `planned` array reports the
 //! decision and reason per query, recomputed against the pinned
-//! snapshot, so clients can see *why* an algorithm ran.
+//! cut, so clients can see *why* an algorithm ran.
 
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use serde::{Content, Serialize};
+use uots_core::algorithms::Algorithm;
 use uots_core::parallel::{self, BatchOptions, BatchPolicy};
 use uots_core::planner::{AlgorithmKind, Planner};
 use uots_core::shard::{ClusterSnapshot, ShardedCluster};
 use uots_core::{
-    CancellationToken, Completeness, CoreError, Database, EpochManager, EpochSnapshot,
-    ExecutionBudget, QueryOptions, QueryResult, RunControl, SearchContext, UotsQuery, Weights,
+    CancellationToken, Completeness, CoreError, Database, EpochManager, ExecutionBudget,
+    QueryOptions, RunControl, SearchContext, UotsQuery, Weights,
 };
 use uots_join::{ts_join_with, JoinConfig, JoinError, JoinResult};
-use uots_network::NodeId;
+use uots_network::{NodeId, RoadNetwork};
 use uots_obs::{
     dispatch_obs, read_request, respond, Counter, Histogram, HttpRequest, MetricsRegistry, ObsState,
 };
@@ -85,7 +98,6 @@ use uots_text::{KeywordId, KeywordSet};
 use uots_trajectory::{Trajectory, TrajectoryId, TrajectoryStore};
 
 use crate::cluster::ShardedDurable;
-use crate::durable::DurableIngest;
 
 /// How the service admits, degrades and sheds work.
 #[derive(Debug, Clone)]
@@ -158,65 +170,20 @@ impl ServiceMetrics {
     }
 }
 
-/// The state the service answers from: a live [`EpochManager`]
-/// (volatile ingest), the WAL-backed [`DurableIngest`] facade, or their
-/// sharded counterparts (`--shards N`). All hand out epoch-pinned
-/// snapshot cuts; only `/ingest` differs.
+/// The writer side of the store: a volatile cluster, or a durable one
+/// whose mutations reach each shard's WAL before they apply. Only
+/// `/ingest` touches it, under [`Shared::writer`].
 enum Backend {
-    Volatile(Arc<EpochManager>),
-    Durable(Box<Mutex<DurableIngest>>),
-    Sharded(Arc<ShardedCluster>),
-    ShardedDurable(Box<Mutex<ShardedDurable>>),
-}
-
-/// One pinned read handle: a single snapshot, or a consistent cut across
-/// every shard. Queries of one request always answer against one pin.
-enum Pinned {
-    Single(Arc<EpochSnapshot>),
-    Cluster(ClusterSnapshot),
-}
-
-impl Pinned {
-    /// The epoch attributable to this pin: the snapshot's epoch, or the
-    /// maximum per-shard epoch of the cut (per-shard epochs are reported
-    /// separately in sharded responses).
-    fn epoch(&self) -> u64 {
-        match self {
-            Pinned::Single(s) => s.epoch(),
-            Pinned::Cluster(c) => c.epochs().into_iter().max().unwrap_or(0),
-        }
-    }
-
-    /// Per-shard epochs (`None` for a single snapshot).
-    fn shard_epochs(&self) -> Option<Vec<u64>> {
-        match self {
-            Pinned::Single(_) => None,
-            Pinned::Cluster(c) => Some(c.epochs()),
-        }
-    }
-}
-
-impl Backend {
-    /// The current pinned read handle. The durable locks are held only
-    /// for the snapshot clone, never across query execution, so searches
-    /// and ingest proceed concurrently.
-    fn pin(&self) -> Pinned {
-        match self {
-            Backend::Volatile(m) => Pinned::Single(m.snapshot()),
-            Backend::Durable(d) => {
-                Pinned::Single(d.lock().expect("durable facade poisoned").snapshot())
-            }
-            Backend::Sharded(c) => Pinned::Cluster(c.snapshot()),
-            Backend::ShardedDurable(d) => {
-                Pinned::Cluster(d.lock().expect("durable facade poisoned").snapshot())
-            }
-        }
-    }
+    Volatile(Arc<ShardedCluster>),
+    Durable(Box<ShardedDurable>),
 }
 
 /// Shared state behind every worker thread.
 struct Shared {
-    backend: Backend,
+    writer: Mutex<Backend>,
+    /// The last published cut; `/ingest` replaces it after each publish
+    /// while it holds `writer`.
+    published: RwLock<Arc<ClusterSnapshot>>,
     cfg: ServiceConfig,
     obs: ObsState,
     metrics: ServiceMetrics,
@@ -227,6 +194,11 @@ struct Shared {
 }
 
 impl Shared {
+    /// The cut every read of one request answers against.
+    fn pin(&self) -> Arc<ClusterSnapshot> {
+        Arc::clone(&self.published.read().unwrap_or_else(|e| e.into_inner()))
+    }
+
     /// Reserves `n` query slots. `Err(())` means the global hard ring is
     /// full and the request must be shed; `Ok((guard, degraded))` carries
     /// whether the tenant crossed its soft ring.
@@ -286,8 +258,11 @@ impl std::fmt::Debug for QueryService {
 }
 
 impl QueryService {
-    /// Starts the service over a live [`EpochManager`] (volatile ingest:
-    /// mutations apply to the manager without a WAL).
+    /// Starts the service over a live [`EpochManager`], served as a
+    /// 1-shard cluster that shares the caller's manager (volatile ingest:
+    /// mutations apply to the manager without a WAL). The service becomes
+    /// the manager's only writer: it serves what its own `/ingest`
+    /// publishes.
     ///
     /// # Errors
     ///
@@ -299,30 +274,8 @@ impl QueryService {
         obs: ObsState,
         cfg: ServiceConfig,
     ) -> io::Result<QueryService> {
-        Self::start_inner(addr, Backend::Volatile(manager), registry, obs, cfg)
-    }
-
-    /// Starts the service over a [`DurableIngest`]: `/ingest` goes through
-    /// the WAL-backed path (acked writes survive crashes), queries read
-    /// the facade's published snapshots.
-    ///
-    /// # Errors
-    ///
-    /// Binding the listener.
-    pub fn start_durable(
-        addr: &str,
-        durable: DurableIngest,
-        registry: MetricsRegistry,
-        obs: ObsState,
-        cfg: ServiceConfig,
-    ) -> io::Result<QueryService> {
-        Self::start_inner(
-            addr,
-            Backend::Durable(Box::new(Mutex::new(durable))),
-            registry,
-            obs,
-            cfg,
-        )
+        let cluster = ShardedCluster::from_shards(vec![manager], None);
+        Self::start_sharded(addr, Arc::new(cluster), registry, obs, cfg)
     }
 
     /// Starts the service over a [`ShardedCluster`] (volatile sharded
@@ -340,13 +293,14 @@ impl QueryService {
         obs: ObsState,
         cfg: ServiceConfig,
     ) -> io::Result<QueryService> {
-        Self::start_inner(addr, Backend::Sharded(cluster), registry, obs, cfg)
+        let cut = cluster.snapshot();
+        Self::start_inner(addr, Backend::Volatile(cluster), cut, registry, obs, cfg)
     }
 
-    /// Starts the service over a [`ShardedDurable`] cluster: per-shard
-    /// WAL-backed `/ingest`, scatter-gather reads. A degraded shard
-    /// rejects its mutations while every other shard — and all reads —
-    /// keep serving.
+    /// Starts the service over a [`ShardedDurable`] cluster (one shard for
+    /// an unsharded store): per-shard WAL-backed `/ingest`, scatter-gather
+    /// reads. A degraded shard rejects its mutations while every other
+    /// shard — and all reads — keep serving.
     ///
     /// # Errors
     ///
@@ -358,18 +312,15 @@ impl QueryService {
         obs: ObsState,
         cfg: ServiceConfig,
     ) -> io::Result<QueryService> {
-        Self::start_inner(
-            addr,
-            Backend::ShardedDurable(Box::new(Mutex::new(cluster))),
-            registry,
-            obs,
-            cfg,
-        )
+        let cut = cluster.snapshot();
+        let backend = Backend::Durable(Box::new(cluster));
+        Self::start_inner(addr, backend, cut, registry, obs, cfg)
     }
 
     fn start_inner(
         addr: &str,
         backend: Backend,
+        cut: ClusterSnapshot,
         registry: MetricsRegistry,
         obs: ObsState,
         cfg: ServiceConfig,
@@ -380,7 +331,8 @@ impl QueryService {
         let stop = Arc::new(AtomicBool::new(false));
         let metrics = ServiceMetrics::new(&registry);
         let shared = Arc::new(Shared {
-            backend,
+            writer: Mutex::new(backend),
+            published: RwLock::new(Arc::new(cut)),
             cfg: cfg.clone(),
             obs,
             metrics,
@@ -415,10 +367,10 @@ impl QueryService {
         self.local_addr
     }
 
-    /// The epoch of the currently published snapshot (for sharded
-    /// backends: the maximum per-shard epoch).
+    /// The epoch of the currently published cut (the maximum per-shard
+    /// epoch).
     pub fn current_epoch(&self) -> u64 {
-        self.shared.backend.pin().epoch()
+        cut_epoch(&self.shared.pin())
     }
 
     /// `true` once an operator requested shutdown (`POST
@@ -727,46 +679,22 @@ fn handle_search(
         max_batch: Some(shared.cfg.max_batch),
         threads: shared.cfg.batch_threads,
     };
-    let token = CancellationToken::new();
-    // Pin one snapshot — or one consistent cluster cut — for the whole
-    // batch (the `Arc`s keep every shard epoch alive while `/ingest`
-    // publishes), exactly like `parallel::run_batch_epoch`.
-    let pinned = shared.backend.pin();
-    let mut shards_cut_total = 0u64;
-    let outcome: Result<Vec<Result<QueryResult, CoreError>>, CoreError> = match &pinned {
-        Pinned::Single(snapshot) => {
-            let db = snapshot.database();
-            parallel::run_batch_ctx(&db, &planner, &queries, &opts, &token, &shared.ctx)
-        }
-        Pinned::Cluster(cut) => {
-            if queries.len() > shared.cfg.max_batch {
-                drop(guard);
-                shared.metrics.shed.inc();
-                return json_error(
-                    stream,
-                    429,
-                    &format!(
-                        "batch of {} exceeds admission bound {}",
-                        queries.len(),
-                        shared.cfg.max_batch
-                    ),
-                );
-            }
-            // The shard fan-out supplies the parallelism; queries run in
-            // submission order so outcomes line up with the request.
-            let mut out = Vec::with_capacity(queries.len());
-            for q in &queries {
-                match cut.search_ctx(&planner, q, &RunControl::unbounded(), &shared.ctx) {
-                    Ok(ans) => {
-                        shards_cut_total += ans.shards_cut as u64;
-                        out.push(Ok(ans.result));
-                    }
-                    Err(e) => out.push(Err(e)),
-                }
-            }
-            Ok(out)
-        }
-    };
+    // Pin one consistent cut for the whole batch (its `Arc`s keep every
+    // shard epoch alive while `/ingest` publishes).
+    let cut = shared.pin();
+    let shards_cut = AtomicU64::new(0);
+    let outcome = parallel::execute(
+        &queries,
+        &opts,
+        &CancellationToken::new(),
+        None,
+        planner.name(),
+        |q, ctl, _| {
+            let answer = cut.search_ctx(&planner, q, ctl, &shared.ctx)?;
+            shards_cut.fetch_add(answer.shards_cut as u64, Ordering::Relaxed);
+            Ok(answer.result)
+        },
+    );
     drop(guard);
 
     let results = match outcome {
@@ -788,9 +716,10 @@ fn handle_search(
         }
     };
 
-    // Report the plan per query, recomputed against the pinned snapshot
-    // (decide() is deterministic and cheap). A cluster reports the plan
-    // each shard chose — planner statistics are per-shard by design.
+    // Report the plan per query, recomputed against the pinned cut
+    // (decide() is deterministic and cheap). A cut of several shards
+    // reports the plan each shard chose — planner statistics are
+    // per-shard by design.
     let plan_entry = |db: &Database<'_>, q: &UotsQuery| {
         let d = planner.decide(db, q);
         Content::Map(vec![
@@ -801,21 +730,19 @@ fn handle_search(
             ("reason".to_string(), Content::Str(d.reason.to_string())),
         ])
     };
-    let planned: Vec<Content> = match &pinned {
-        Pinned::Single(snapshot) => {
-            let db = snapshot.database();
-            queries.iter().map(|q| plan_entry(&db, q)).collect()
-        }
-        Pinned::Cluster(cut) => queries
-            .iter()
-            .map(|q| {
-                let shards: Vec<Content> = (0..cut.num_shards())
-                    .map(|s| plan_entry(&cut.shard(s).database(), q))
-                    .collect();
-                Content::Map(vec![("shards".to_string(), Content::Seq(shards))])
-            })
-            .collect(),
-    };
+    let sharded = cut.num_shards() > 1;
+    let planned: Vec<Content> = queries
+        .iter()
+        .map(|q| {
+            if !sharded {
+                return plan_entry(&cut.shard(0).database(), q);
+            }
+            let shards: Vec<Content> = (0..cut.num_shards())
+                .map(|s| plan_entry(&cut.shard(s).database(), q))
+                .collect();
+            Content::Map(vec![("shards".to_string(), Content::Seq(shards))])
+        })
+        .collect();
 
     let rendered: Vec<Content> = results
         .iter()
@@ -825,16 +752,16 @@ fn handle_search(
         })
         .collect();
     let mut top = vec![
-        ("epoch".to_string(), Content::U64(pinned.epoch())),
+        ("epoch".to_string(), Content::U64(cut_epoch(&cut))),
         ("degraded".to_string(), Content::Bool(degraded)),
         ("planned".to_string(), Content::Seq(planned)),
     ];
-    if let Some(epochs) = pinned.shard_epochs() {
+    if sharded {
+        top.push(shard_epochs(&cut));
         top.push((
-            "epochs".to_string(),
-            Content::Seq(epochs.into_iter().map(Content::U64).collect()),
+            "shards_cut".to_string(),
+            Content::U64(shards_cut.into_inner()),
         ));
-        top.push(("shards_cut".to_string(), Content::U64(shards_cut_total)));
     }
     if single {
         top.push((
@@ -879,14 +806,10 @@ fn handle_join(stream: &mut TcpStream, req: &HttpRequest, shared: &Arc<Shared>) 
         ..defaults
     };
     let tenant = field_str(&body, "tenant").unwrap_or("default").to_string();
-    let pinned = shared.backend.pin();
+    let cut = shared.pin();
     // A join is a whole-dataset scan; weigh it as one tenant-ring slot
     // per live trajectory probe, capped to keep the arithmetic sane.
-    let num_live = match &pinned {
-        Pinned::Single(s) => s.live().num_live(),
-        Pinned::Cluster(c) => c.num_live(),
-    };
-    let weight = num_live.min(shared.cfg.tenant_inflight);
+    let weight = cut.num_live().min(shared.cfg.tenant_inflight);
     let (guard, degraded) = match shared.admit(&tenant, weight.max(1)) {
         Ok(ok) => ok,
         Err(()) => {
@@ -901,27 +824,7 @@ fn handle_join(stream: &mut TcpStream, req: &HttpRequest, shared: &Arc<Shared>) 
         ExecutionBudget::UNLIMITED
     };
 
-    let outcome = match &pinned {
-        Pinned::Single(snapshot) => {
-            let db = snapshot.database();
-            let Some(ts_index) = db.timestamp_index else {
-                drop(guard);
-                shared.metrics.errors.inc();
-                return json_error(stream, 400, "snapshot has no timestamp index");
-            };
-            ts_join_with(
-                snapshot.network(),
-                snapshot.store(),
-                db.vertex_index,
-                ts_index,
-                &cfg,
-                shared.cfg.batch_threads,
-                &budget,
-                &RunControl::unbounded(),
-            )
-        }
-        Pinned::Cluster(cut) => cluster_join(cut, &cfg, shared.cfg.batch_threads, &budget),
-    };
+    let outcome = cut_join(&cut, &cfg, shared.cfg.batch_threads, &budget);
     drop(guard);
 
     let join = match outcome {
@@ -933,7 +836,7 @@ fn handle_join(stream: &mut TcpStream, req: &HttpRequest, shared: &Arc<Shared>) 
     };
     let pairs: Vec<Content> = join.pairs.iter().map(|p| p.serialize()).collect();
     let mut top = vec![
-        ("epoch".to_string(), Content::U64(pinned.epoch())),
+        ("epoch".to_string(), Content::U64(cut_epoch(&cut))),
         ("degraded".to_string(), Content::Bool(degraded)),
         ("pairs".to_string(), Content::Seq(pairs)),
         (
@@ -946,27 +849,45 @@ fn handle_join(stream: &mut TcpStream, req: &HttpRequest, shared: &Arc<Shared>) 
             Content::F64(join.runtime.as_secs_f64() * 1e3),
         ),
     ];
-    if let Some(epochs) = pinned.shard_epochs() {
-        top.push((
-            "epochs".to_string(),
-            Content::Seq(epochs.into_iter().map(Content::U64).collect()),
-        ));
+    if cut.num_shards() > 1 {
+        top.push(shard_epochs(&cut));
     }
     let body = serde_json::to_string(&Content::Map(top)).expect("join response renders");
     respond(stream, 200, "application/json", &body)
 }
 
-/// Runs the similarity self-join over a sharded cluster cut by
-/// materializing every live trajectory into one compact store in
-/// ascending **global** id order (so the mapping back is stable), then
-/// remapping pair ids to global before answering. The network is shared
-/// by construction, so any shard's copy serves the scan.
-fn cluster_join(
+/// Runs the similarity self-join over a cut. A 1-shard cut joins its
+/// snapshot in place. A cut of several shards materializes every live
+/// trajectory into one compact store in ascending **global** id order (so
+/// the mapping back is stable), then remaps pair ids to global before
+/// answering. The network is shared by construction, so any shard's copy
+/// serves the scan.
+fn cut_join(
     cut: &ClusterSnapshot,
     cfg: &JoinConfig,
     threads: usize,
     budget: &ExecutionBudget,
 ) -> Result<JoinResult, JoinError> {
+    if cut.num_shards() == 1 {
+        let snap = cut.shard(0);
+        let db = snap.database();
+        let mut join = ts_join_with(
+            snap.network(),
+            snap.store(),
+            db.vertex_index,
+            db.timestamp_index
+                .expect("epoch snapshots index timestamps"),
+            cfg,
+            threads,
+            budget,
+            &RunControl::unbounded(),
+        )?;
+        for p in &mut join.pairs {
+            p.a = cut.global_of(0, p.a);
+            p.b = cut.global_of(0, p.b);
+        }
+        return Ok(join);
+    }
     let mut rows: Vec<(TrajectoryId, usize, TrajectoryId)> = Vec::new();
     for s in 0..cut.num_shards() {
         for local in cut.shard(s).live().iter_live() {
@@ -1018,9 +939,11 @@ fn handle_ingest(
     let inserts: Vec<Trajectory> = match body.get("insert") {
         None | Some(Content::Null) => Vec::new(),
         Some(Content::Seq(items)) => {
+            let cut = shared.pin();
+            let network = cut.shard(0).network();
             let mut out = Vec::with_capacity(items.len());
             for (i, c) in items.iter().enumerate() {
-                match <Trajectory as serde::Deserialize>::deserialize(c) {
+                match parse_insert(c, network) {
                     Ok(t) => out.push(t),
                     Err(e) => {
                         shared.metrics.errors.inc();
@@ -1044,139 +967,117 @@ fn handle_ingest(
     };
     let publish = !matches!(body.get("publish"), Some(Content::Bool(false)));
 
-    let mut assigned: Vec<u64> = Vec::with_capacity(inserts.len());
-    let mut retired = 0u64;
-    let mut shard_epochs: Option<Vec<u64>> = None;
-    let epoch = match &shared.backend {
-        Backend::Durable(durable) => {
-            let mut durable = durable.lock().expect("durable facade poisoned");
-            for t in inserts {
-                match durable.ingest(t) {
-                    Ok(id) => assigned.push(u64::from(id.0)),
-                    Err(e) => {
-                        shared.metrics.errors.inc();
-                        return json_error(stream, 400, &e.to_string());
-                    }
-                }
+    // Mutations and the publish serialize on the writer; the new cut
+    // replaces the published one before the writer lets go.
+    let outcome = match shared.writer.lock() {
+        Ok(mut backend) => apply_ingest(&mut backend, inserts, retires, publish).inspect(|done| {
+            if let Some(cut) = &done.published {
+                *shared.published.write().unwrap_or_else(|e| e.into_inner()) = Arc::clone(cut);
             }
-            for id in retires {
-                match durable.retire(id) {
-                    Ok(true) => retired += 1,
-                    Ok(false) => {}
-                    Err(e) => {
-                        shared.metrics.errors.inc();
-                        return json_error(stream, 400, &e.to_string());
-                    }
-                }
-            }
-            if publish {
-                match durable.publish() {
-                    Ok(snap) => snap.epoch(),
-                    Err(e) => {
-                        shared.metrics.errors.inc();
-                        return json_error(stream, 400, &e.to_string());
-                    }
-                }
-            } else {
-                durable.snapshot().epoch()
-            }
-        }
-        Backend::Volatile(manager) => {
-            for t in inserts {
-                assigned.push(u64::from(manager.ingest(t).0));
-            }
-            for id in retires {
-                if manager.retire(id) {
-                    retired += 1;
-                }
-            }
-            if publish {
-                manager.publish().epoch()
-            } else {
-                manager.snapshot().epoch()
-            }
-        }
-        Backend::Sharded(cluster) => {
-            for t in inserts {
-                assigned.push(u64::from(cluster.ingest(t).0));
-            }
-            for id in retires {
-                // `EpochManager::retire` panics on an unknown id; the
-                // cluster router turns that into a clean client error.
-                if !cluster.contains(id) {
-                    shared.metrics.errors.inc();
-                    return json_error(stream, 400, &format!("unknown trajectory id {}", id.0));
-                }
-                if cluster.retire(id) {
-                    retired += 1;
-                }
-            }
-            let cut = if publish {
-                cluster.publish_all()
-            } else {
-                cluster.snapshot()
-            };
-            let epochs = cut.epochs();
-            let max = epochs.iter().copied().max().unwrap_or(0);
-            shard_epochs = Some(epochs);
-            max
-        }
-        Backend::ShardedDurable(cluster) => {
-            let mut cluster = cluster.lock().expect("sharded durable facade poisoned");
-            for t in inserts {
-                match cluster.ingest(t) {
-                    Ok(id) => assigned.push(u64::from(id.0)),
-                    Err(e) => {
-                        shared.metrics.errors.inc();
-                        return json_error(stream, 400, &e.to_string());
-                    }
-                }
-            }
-            for id in retires {
-                match cluster.retire(id) {
-                    Ok(true) => retired += 1,
-                    Ok(false) => {}
-                    Err(e) => {
-                        shared.metrics.errors.inc();
-                        return json_error(stream, 400, &e.to_string());
-                    }
-                }
-            }
-            let cut = if publish {
-                match cluster.publish_all() {
-                    Ok(cut) => cut,
-                    Err(e) => {
-                        shared.metrics.errors.inc();
-                        return json_error(stream, 400, &e.to_string());
-                    }
-                }
-            } else {
-                cluster.snapshot()
-            };
-            let epochs = cut.epochs();
-            let max = epochs.iter().copied().max().unwrap_or(0);
-            shard_epochs = Some(epochs);
-            max
+        }),
+        Err(_) => Err("the store writer panicked; restart the service to recover".to_string()),
+    };
+    let done = match outcome {
+        Ok(done) => done,
+        Err(e) => {
+            shared.metrics.errors.inc();
+            return json_error(stream, 400, &e);
         }
     };
+    let cut = done.published.unwrap_or_else(|| shared.pin());
 
     let mut top = vec![
-        ("epoch".to_string(), Content::U64(epoch)),
+        ("epoch".to_string(), Content::U64(cut_epoch(&cut))),
         (
             "inserted".to_string(),
-            Content::Seq(assigned.into_iter().map(Content::U64).collect()),
+            Content::Seq(done.inserted.into_iter().map(Content::U64).collect()),
         ),
-        ("retired".to_string(), Content::U64(retired)),
+        ("retired".to_string(), Content::U64(done.retired)),
         ("published".to_string(), Content::Bool(publish)),
     ];
-    if let Some(epochs) = shard_epochs {
-        top.push((
-            "epochs".to_string(),
-            Content::Seq(epochs.into_iter().map(Content::U64).collect()),
-        ));
+    if cut.num_shards() > 1 {
+        top.push(shard_epochs(&cut));
     }
     let body = serde_json::to_string(&Content::Map(top)).expect("ingest response renders");
     respond(stream, 200, "application/json", &body)
+}
+
+/// Parses one inserted trajectory, refusing a vertex `network` lacks (the
+/// writer would index it out of bounds).
+fn parse_insert(c: &Content, network: &RoadNetwork) -> Result<Trajectory, String> {
+    let t = <Trajectory as serde::Deserialize>::deserialize(c).map_err(|e| e.to_string())?;
+    if let Some(v) = t.nodes().find(|&v| !network.contains_node(v)) {
+        return Err(format!("unknown vertex {}", v.0));
+    }
+    Ok(t)
+}
+
+/// What one `/ingest` did: the inserts' global ids, the number of retires
+/// that hit a live trajectory, and the cut it published, if asked to.
+struct Ingested {
+    inserted: Vec<u64>,
+    retired: u64,
+    published: Option<Arc<ClusterSnapshot>>,
+}
+
+/// Applies inserts, then retires, then the optional publish. The first
+/// refused mutation stops the request; what was applied before it stays
+/// pending until a later publish.
+fn apply_ingest(
+    backend: &mut Backend,
+    inserts: Vec<Trajectory>,
+    retires: Vec<TrajectoryId>,
+    publish: bool,
+) -> Result<Ingested, String> {
+    let mut done = Ingested {
+        inserted: Vec::with_capacity(inserts.len()),
+        retired: 0,
+        published: None,
+    };
+    match backend {
+        Backend::Volatile(cluster) => {
+            for t in inserts {
+                done.inserted.push(u64::from(cluster.ingest(t).0));
+            }
+            for id in retires {
+                // `retire` panics on an id the cluster never issued.
+                if !cluster.contains(id) {
+                    return Err(format!("unknown trajectory id {}", id.0));
+                }
+                done.retired += u64::from(cluster.retire(id));
+            }
+            if publish {
+                done.published = Some(Arc::new(cluster.publish_all()));
+            }
+        }
+        Backend::Durable(cluster) => {
+            for t in inserts {
+                let id = cluster.ingest(t).map_err(|e| e.to_string())?;
+                done.inserted.push(u64::from(id.0));
+            }
+            for id in retires {
+                done.retired += u64::from(cluster.retire(id).map_err(|e| e.to_string())?);
+            }
+            if publish {
+                let cut = cluster.publish_all().map_err(|e| e.to_string())?;
+                done.published = Some(Arc::new(cut));
+            }
+        }
+    }
+    Ok(done)
+}
+
+/// The epoch attributable to a cut: the maximum per-shard epoch.
+fn cut_epoch(cut: &ClusterSnapshot) -> u64 {
+    cut.epochs().into_iter().max().unwrap_or(0)
+}
+
+/// The per-shard `epochs` field of responses from multi-shard cuts.
+fn shard_epochs(cut: &ClusterSnapshot) -> (String, Content) {
+    (
+        "epochs".to_string(),
+        Content::Seq(cut.epochs().into_iter().map(Content::U64).collect()),
+    )
 }
 
 /// Result completeness digest used by clients and the load generator:
@@ -1208,6 +1109,36 @@ mod tests {
         let bad_lambda: Content =
             serde_json::from_str(r#"{"locations":[1],"keywords":[],"lambda":1.5}"#).unwrap();
         assert!(parse_query(&bad_lambda).is_err());
+    }
+
+    #[test]
+    fn a_pin_never_waits_on_the_writer() {
+        use uots_datagen::{Dataset, DatasetConfig};
+        let ds = Dataset::build(&DatasetConfig::small(20, 1)).unwrap();
+        let manager = EpochManager::new(
+            Arc::new(ds.network.clone()),
+            ds.store.clone(),
+            ds.vocab.len(),
+        );
+        let registry = MetricsRegistry::new();
+        let obs = ObsState::new().with_registry(registry.clone());
+        let service = QueryService::start(
+            "127.0.0.1:0",
+            Arc::new(manager),
+            registry,
+            obs,
+            ServiceConfig::default(),
+        )
+        .unwrap();
+        let writer = service.shared.writer.lock().unwrap();
+        let shared = Arc::clone(&service.shared);
+        let (tx, rx) = std::sync::mpsc::channel();
+        thread::spawn(move || tx.send(shared.pin().epochs()).unwrap());
+        let epochs = rx
+            .recv_timeout(Duration::from_secs(1))
+            .expect("a pin must not wait on the writer");
+        assert_eq!(epochs, vec![0]);
+        drop(writer);
     }
 
     #[test]

@@ -616,3 +616,163 @@ fn unrecoverable_directories_exit_5() {
     std::fs::remove_file(&script).ok();
     std::fs::remove_dir_all(&wal_dir).ok();
 }
+
+/// A `uots-serve` process on an ephemeral port; the returned thread
+/// drains its stdout (so its later lines never hit a closed pipe) and
+/// yields everything it printed.
+fn start_serve(
+    data: &std::path::Path,
+    wal_dir: &std::path::Path,
+) -> (
+    std::process::Child,
+    std::net::SocketAddr,
+    std::thread::JoinHandle<String>,
+) {
+    use std::io::BufRead;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_uots-serve"))
+        .arg("--data")
+        .arg(data)
+        .args([
+            "--listen",
+            "127.0.0.1:0",
+            "--http-threads",
+            "2",
+            "--wal-dir",
+        ])
+        .arg(wal_dir)
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("uots-serve starts");
+    let mut lines = std::io::BufReader::new(child.stdout.take().unwrap()).lines();
+    let mut printed = String::new();
+    let addr = loop {
+        let line = lines
+            .next()
+            .expect("uots-serve printed its address")
+            .unwrap();
+        printed.push_str(&line);
+        printed.push('\n');
+        if let Some(a) = line.strip_prefix("uots-serve: listening on http://") {
+            break a.parse().expect("socket address");
+        }
+    };
+    let drain = std::thread::spawn(move || {
+        for line in lines.map_while(Result::ok) {
+            printed.push_str(&line);
+            printed.push('\n');
+        }
+        printed
+    });
+    (child, addr, drain)
+}
+
+fn post(addr: std::net::SocketAddr, path: &str, body: &str) -> (u16, serde::Content) {
+    use std::io::{Read, Write};
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    write!(
+        stream,
+        "POST {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    )
+    .unwrap();
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).unwrap();
+    let code = raw.split_whitespace().nth(1).unwrap().parse().unwrap();
+    let text = raw.split_once("\r\n\r\n").map_or("", |(_, b)| b);
+    (code, serde_json::from_str(text.trim()).expect("JSON body"))
+}
+
+fn as_u64(c: Option<&serde::Content>) -> u64 {
+    match c {
+        Some(serde::Content::U64(v)) => *v,
+        Some(serde::Content::I64(v)) => u64::try_from(*v).unwrap(),
+        other => panic!("not an id: {other:?}"),
+    }
+}
+
+#[test]
+fn serve_restart_on_a_wal_dir_recovers_acked_ingests() {
+    use serde::{Content, Serialize};
+    let path = temp_dataset("restart.uotsds");
+    generate(&path);
+    let ds = uots::datagen::persist::load_file(&path).unwrap();
+    let wal_dir = temp_dataset("restart.wal");
+    std::fs::remove_dir_all(&wal_dir).ok();
+
+    // a trip carrying the rarest keyword on vertex 0: it wins its own query
+    let marker = ds.vocab.len() as u32 - 1;
+    let trip = |t0: f64| {
+        let samples = [0, 1].map(|v| uots::Sample {
+            node: uots::NodeId(v),
+            time: t0 + 60.0 * f64::from(v),
+        });
+        let t = uots::Trajectory::new(
+            samples.to_vec(),
+            uots::KeywordSet::from_ids([uots::KeywordId(marker)]),
+        )
+        .unwrap();
+        serde_json::to_string(&Content::Map(vec![(
+            "insert".to_string(),
+            Content::Seq(vec![t.serialize()]),
+        )]))
+        .unwrap()
+    };
+    let ingest = |addr| {
+        let (code, reply) = post(addr, "/ingest", &trip(60.0));
+        assert_eq!(code, 200, "{reply:?}");
+        as_u64(reply.get("inserted").unwrap().as_seq().unwrap().first())
+    };
+
+    let (mut child, addr, _) = start_serve(&path, &wal_dir);
+    let acked = ingest(addr);
+    assert_eq!(acked, ds.store.len() as u64);
+    post(addr, "/admin/shutdown", "");
+    assert!(child.wait().unwrap().success());
+    assert!(
+        wal_dir.join("shard-0").is_dir(),
+        "one shard under DIR/shard-0/"
+    );
+
+    // the restart recovers instead of rebuilding from the dataset
+    let (mut child, addr, printed) = start_serve(&path, &wal_dir);
+    let query = format!(r#"{{"locations":[0],"keywords":[{marker}],"lambda":0.2,"k":1}}"#);
+    let (code, body) = post(addr, "/topk", &query);
+    assert_eq!(code, 200, "{body:?}");
+    let matches = body.get("result").unwrap().get("matches").unwrap();
+    assert_eq!(as_u64(matches.as_seq().unwrap()[0].get("id")), acked);
+    assert_eq!(ingest(addr), acked + 1, "the next insert gets the next id");
+    post(addr, "/admin/shutdown", "");
+    assert!(child.wait().unwrap().success());
+    assert!(printed.join().unwrap().contains("recovered 1 shard(s)"));
+
+    // a wal written at the root of the directory is refused, not rebuilt
+    let flat = temp_dataset("restart.flat.wal");
+    std::fs::remove_dir_all(&flat).ok();
+    std::fs::create_dir_all(&flat).unwrap();
+    let script = temp_dataset("restart.script");
+    std::fs::write(&script, "ingest 0\npublish\n").unwrap();
+    let out = uots()
+        .args(["ingest", "--data"])
+        .arg(&path)
+        .arg("--script")
+        .arg(&script)
+        .arg("--wal-dir")
+        .arg(&flat)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let out = Command::new(env!("CARGO_BIN_EXE_uots-serve"))
+        .arg("--data")
+        .arg(&path)
+        .args(["--listen", "127.0.0.1:0", "--wal-dir"])
+        .arg(&flat)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("no shard-0/"));
+
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&script).ok();
+    std::fs::remove_dir_all(&wal_dir).ok();
+    std::fs::remove_dir_all(&flat).ok();
+}

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 
-use uots::core::parallel::{run_batch, run_batch_observed, BatchObserver, BatchOptions};
+use uots::core::parallel::{run_batch, run_batch_observed_ctx, BatchObserver, BatchOptions};
 use uots::core::wal::WalConfig;
 use uots::durable::{DurableIngest, IngestState};
 use uots::obs::{
@@ -22,7 +22,7 @@ use uots::obs::{
 use uots::prelude::*;
 use uots::storage::fault::{Fault, FaultFs, OpKind, ScriptedFault};
 use uots::storage::{RetryPolicy, StdFs, StorageBackend};
-use uots::{Mutation, Trajectory};
+use uots::{Mutation, SearchContext, Trajectory};
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir()
@@ -234,13 +234,14 @@ fn concurrent_exposition_always_validates() {
             let obs = BatchObserver::new(&registry).with_sampler(TailSampler::new(32));
             let algo = Expansion::default();
             for _ in 0..4 {
-                let results = run_batch_observed(
+                let results = run_batch_observed_ctx(
                     &db,
                     &algo,
                     &queries,
                     &BatchOptions::fail_fast(2),
                     &CancellationToken::new(),
                     &obs,
+                    &SearchContext::default(),
                 )
                 .expect("batch admits");
                 assert_eq!(results.len(), queries.len());
@@ -307,13 +308,14 @@ fn tracing_disabled_overhead_is_bounded() {
     let observed = (0..repeats)
         .map(|_| {
             let t0 = Instant::now();
-            let results = run_batch_observed(
+            let results = run_batch_observed_ctx(
                 &db,
                 &algo,
                 &queries,
                 &BatchOptions::fail_fast(1),
                 &CancellationToken::new(),
                 &obs,
+                &SearchContext::default(),
             )
             .expect("observed batch");
             assert_eq!(results.len(), queries.len());

@@ -10,11 +10,14 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use serde::{Content, Serialize};
+use uots::cluster::ShardedDurable;
 use uots::core::planner::Planner;
 use uots::obs::{MetricsRegistry, ObsState};
 use uots::prelude::*;
 use uots::serve::{QueryService, ServiceConfig};
-use uots::{workload, Dataset, DatasetConfig, EpochManager, KeywordSet, QueryOptions, UotsQuery};
+use uots::{
+    workload, Dataset, DatasetConfig, EpochManager, KeywordSet, QueryOptions, UotsQuery, WalConfig,
+};
 use uots_core::algorithms::Algorithm;
 use uots_core::{Partitioner, ShardedCluster};
 use uots_text::KeywordId;
@@ -631,6 +634,80 @@ fn huge_k_answers_with_at_most_the_live_set() {
         let small = query_json(&spec.locations, spec.keywords.ids(), 0.5, 2);
         let (code, body) = post(addr, "/topk", &small);
         assert_eq!(code, 200, "{shards} shard(s) after huge k: {body:?}");
+    }
+}
+
+/// A durable service over `shards` fresh shard WALs under a scratch
+/// directory named after `name`.
+fn start_durable_service(
+    name: &str,
+    trips: usize,
+    seed: u64,
+    shards: usize,
+    cfg: ServiceConfig,
+) -> (QueryService, Dataset) {
+    let ds = Dataset::build(&DatasetConfig::small(trips, seed)).expect("dataset");
+    let dir = std::env::temp_dir()
+        .join("uots_service_tests")
+        .join(format!("{name}-{shards}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let registry = MetricsRegistry::new();
+    let cluster = ShardedDurable::create(
+        Arc::new(ds.network.clone()),
+        &ds.store,
+        &ds.vocab,
+        &dir,
+        shards,
+        WalConfig::default(),
+        None,
+        Some(&registry),
+    )
+    .expect("durable cluster");
+    let obs = ObsState::new().with_registry(registry.clone());
+    let service = QueryService::start_sharded_durable("127.0.0.1:0", cluster, registry, obs, cfg)
+        .expect("bind durable service");
+    (service, ds)
+}
+
+/// Retiring an id the store never issued, or inserting on a vertex the
+/// network lacks, is a client error on every backend: no worker may die
+/// of it, and the store keeps answering.
+#[test]
+fn unissued_retires_and_off_network_inserts_are_400s_on_every_backend() {
+    let cfg = ServiceConfig {
+        http_threads: 2,
+        ..ServiceConfig::default()
+    };
+    for shards in [1, 2] {
+        for durable in [false, true] {
+            let (service, ds) = match (durable, shards) {
+                (true, _) => start_durable_service("unissued", 30, 5, shards, cfg.clone()),
+                (false, 1) => start_service(30, 5, cfg.clone()),
+                (false, _) => start_sharded_service(30, 5, shards, cfg.clone()),
+            };
+            let addr = service.local_addr();
+            let label = format!("{shards} shard(s), durable: {durable}");
+            let off_network =
+                r#"{"insert":[{"samples":[{"node":4000000000,"time":0.0}],"keywords":[]}]}"#;
+            for body in [r#"{"retire":[4000000000]}"#, off_network] {
+                for _ in 0..=cfg.http_threads {
+                    let (code, reply) = post(addr, "/ingest", body);
+                    assert_eq!(code, 400, "{label}: {reply:?}");
+                    assert!(reply.get("error").is_some(), "{label}: {reply:?}");
+                }
+            }
+            // the writer is unharmed: a valid ingest still publishes
+            let (code, reply) = post(addr, "/ingest", r#"{"retire":[0]}"#);
+            assert_eq!(code, 200, "{label}: {reply:?}");
+            assert_eq!(as_u64(reply.get("retired")), Some(1), "{label}");
+            let spec = workload::generate(&ds, &workload::WorkloadConfig::default())
+                .into_iter()
+                .next()
+                .unwrap();
+            let json = query_json(&spec.locations, spec.keywords.ids(), 0.5, 2);
+            let (code, body) = post(addr, "/topk", &json);
+            assert_eq!(code, 200, "{label}: {body:?}");
+        }
     }
 }
 
